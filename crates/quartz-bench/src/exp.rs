@@ -4,7 +4,8 @@
 //! An experiment is a named, self-describing unit that maps an
 //! execution context ([`ExpCtx`]: quick flag, worker budget) to an
 //! [`ExpReport`] (tables, free-form notes, exported emulator
-//! statistics). Experiments never print or touch the filesystem —
+//! statistics, and the [`Verdict`]s the experiment passes on its own
+//! results). Experiments never print or touch the filesystem —
 //! the harness renders, saves, and indexes their reports, which is what
 //! makes `repro` output byte-identical at any `--jobs` count.
 
@@ -161,6 +162,37 @@ impl ExpCtx {
     }
 }
 
+/// One named pass/fail check an experiment makes on its own results
+/// (e.g. "no seeded bug went undetected"). The harness enforces them: a
+/// report with any failing verdict is quarantined like a panic.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// Short machine-checkable name, unique within the experiment.
+    pub name: String,
+    /// Whether the check held.
+    pub pass: bool,
+    /// The measured quantities the check judged, for the console and
+    /// the JSON row file.
+    pub detail: String,
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let outcome = if self.pass { "pass" } else { "FAIL" };
+        write!(f, "verdict {}: {outcome} — {}", self.name, self.detail)
+    }
+}
+
+/// Renders the cells a verdict found at fault: `"0"`, or the count
+/// followed by their labels, e.g. `"2 (memlat/storm, memlat/none)"`.
+pub(crate) fn offenders<S: AsRef<str>>(labels: &[S]) -> String {
+    if labels.is_empty() {
+        return "0".to_string();
+    }
+    let names: Vec<&str> = labels.iter().map(AsRef::as_ref).collect();
+    format!("{} ({})", names.len(), names.join(", "))
+}
+
 /// What an experiment produced: rendered by the harness to the console,
 /// CSV files, and the per-experiment JSON row file.
 #[derive(Default)]
@@ -179,6 +211,8 @@ pub struct ExpReport {
     /// channel — unlike tables, these are free-schema documents tracked
     /// PR-over-PR by tooling (file names are recorded in the manifest).
     pub benches: Vec<(String, String)>,
+    /// Checks on the experiment's own results, in declaration order.
+    pub verdicts: Vec<Verdict>,
 }
 
 impl ExpReport {
@@ -213,6 +247,31 @@ impl ExpReport {
     pub fn bench_file(&mut self, name: impl Into<String>, contents: String) -> &mut Self {
         self.benches.push((name.into(), contents));
         self
+    }
+
+    /// Records a verdict. Any failing verdict quarantines the
+    /// experiment: `status: failed`, no row files, `repro` exits 1.
+    pub fn verdict(
+        &mut self,
+        name: impl Into<String>,
+        pass: bool,
+        detail: impl Into<String>,
+    ) -> &mut Self {
+        self.verdicts.push(Verdict {
+            name: name.into(),
+            pass,
+            detail: detail.into(),
+        });
+        self
+    }
+
+    /// The declaration-order first failing verdict as a quarantine
+    /// failure, or `None` when every verdict passed.
+    pub fn verdict_failure(&self) -> Option<ExpFailure> {
+        self.verdicts.iter().find(|v| !v.pass).map(|v| ExpFailure {
+            message: format!("verdict '{}' failed: {}", v.name, v.detail),
+            point: None,
+        })
     }
 }
 
@@ -271,5 +330,21 @@ mod tests {
         assert_eq!(r.tables.len(), 1);
         assert_eq!(r.notes, vec!["n".to_string()]);
         assert_eq!(r.stats[0].0, "s");
+    }
+
+    #[test]
+    fn first_failing_verdict_in_declaration_order_names_the_failure() {
+        let mut r = ExpReport::default();
+        r.verdict("a", true, "fine");
+        assert!(r.verdict_failure().is_none());
+        r.verdict("b", false, "b broke")
+            .verdict("c", false, "c broke");
+        let fail = r.verdict_failure().expect("failing verdict");
+        assert_eq!(fail.message, "verdict 'b' failed: b broke");
+        assert_eq!(fail.point, None);
+        assert_eq!(r.verdicts[0].to_string(), "verdict a: pass — fine");
+        assert_eq!(r.verdicts[1].to_string(), "verdict b: FAIL — b broke");
+        assert_eq!(offenders::<&str>(&[]), "0");
+        assert_eq!(offenders(&["x/a", "x/b"]), "2 (x/a, x/b)");
     }
 }

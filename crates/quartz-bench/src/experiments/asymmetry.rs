@@ -13,7 +13,7 @@
 //! ([`NvmTarget::with_write_latency_ns`]), holding everything else
 //! fixed (same seed, jitter off, perfect counters).
 //!
-//! Expected shape, validated by CI over `BENCH_asymmetry.json`:
+//! Expected shape, checked by the experiment's verdicts:
 //!
 //! * the read-only control cell accrues **exactly zero** write term
 //!   (no stores → no `RESOURCE_STALLS:SB` → nothing to price), so the
@@ -33,7 +33,7 @@ use quartz_workloads::kvstore::{KvConfig, KvStore};
 use quartz_workloads::stream::{run_stream_triad, StreamConfig};
 
 use super::validation_epoch;
-use crate::exp::{ExpCtx, ExpReport, Experiment};
+use crate::exp::{offenders, ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
 use crate::json::Json;
 use crate::report::{f, Table};
@@ -281,6 +281,79 @@ impl Experiment for AsymmetryAblation {
             .render()
                 + "\n",
         );
+
+        let cell = |workload| {
+            let i = WORKLOADS
+                .iter()
+                .position(|&(w, _)| w == workload)
+                .expect("workload in grid");
+            let (sym, asym) = (&results[2 * i], &results[2 * i + 1]);
+            let delta = signed_error_pct(asym.elapsed_ns, sym.elapsed_ns);
+            (WORKLOADS[i].1, sym, asym, delta)
+        };
+        let untimed: Vec<&str> = WORKLOADS
+            .iter()
+            .map(|&(w, _)| w)
+            .filter(|&w| {
+                let (_, sym, asym, _) = cell(w);
+                sym.elapsed_ns <= 0.0 || asym.elapsed_ns <= 0.0 || sym.write_term_ns != 0.0
+            })
+            .collect();
+        report.verdict(
+            "cells_timed",
+            results.len() == 2 * WORKLOADS.len() && untimed.is_empty(),
+            format!(
+                "{} cells, without time or with a symmetric write term={}",
+                results.len(),
+                offenders(&untimed)
+            ),
+        );
+        // The read-only control pins the no-false-charging property:
+        // no stores, nothing to price, even under the asymmetric model.
+        let (kind, _, asym, delta) = cell("chase");
+        report.verdict(
+            "read_only_control",
+            kind == "read_only" && asym.write_term_ns == 0.0 && delta.abs() < 2.0,
+            format!(
+                "chase ({kind}) asymmetric write term {} ns, delta {delta:.2}% (|delta| < 2% required)",
+                asym.write_term_ns
+            ),
+        );
+        // Write-heavy cells must show the symmetric model
+        // underpredicting: a positive delta driven by a write term.
+        let mut gap = Vec::new();
+        let mut pass = true;
+        for workload in ["stream_triad", "kv_put"] {
+            let (kind, _, asym, delta) = cell(workload);
+            pass &= kind == "write_heavy" && asym.write_term_ns > 0.0 && delta > 20.0;
+            gap.push(format!(
+                "{workload} ({kind}) +{delta:.1}% with write term {:.0} ns",
+                asym.write_term_ns
+            ));
+        }
+        report.verdict(
+            "write_heavy_gap",
+            pass,
+            format!(
+                "{} (> +20% and a nonzero write term required)",
+                gap.join(", ")
+            ),
+        );
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pins_the_model_pair_and_the_workload_set() {
+        // The table title (and so its CSV name) spells the pair out.
+        assert_eq!((READ_NS, WRITE_NS), (300.0, 900.0));
+        assert_eq!(
+            WORKLOADS.map(|(w, _)| w),
+            ["chase", "btree_get", "stream_triad", "kv_put"]
+        );
     }
 }

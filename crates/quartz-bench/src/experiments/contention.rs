@@ -1,30 +1,20 @@
-//! Interposition hot-path contention microbenchmark.
+//! Interposition hot-path contention microbenchmark: the cost the
+//! sharded per-thread registry (`quartz::registry`) keeps off the
+//! interposition path.
 //!
-//! Two views of the cost the sharded per-thread registry removes:
+//! N simulated threads hammer lock/unlock with and without monitor
+//! pressure, and the emulator's own host-side telemetry reports
+//! slot-lock acquisitions and the host nanoseconds spent *waiting* on
+//! them. With the sharded design the monitor's age scan takes no
+//! per-thread lock, so monitor pressure must not add measurable wait.
 //!
-//! 1. **Emulated unlock storm** — N simulated threads hammer
-//!    lock/unlock with and without monitor pressure, and the emulator's
-//!    own host-side telemetry reports slot-lock acquisitions and the
-//!    host nanoseconds spent *waiting* on them. With the sharded design
-//!    the monitor's age scan takes no per-thread lock, so monitor
-//!    pressure must not add measurable wait.
-//! 2. **Locking-discipline A/B on real OS threads** — the seed kept all
-//!    per-thread state in one global `Mutex<HashMap>` acquired three
-//!    times per interposition event (age check, snapshot read, stats
-//!    write-back), with the monitor scanning the whole map under the
-//!    same lock. The replacement gives each thread its own slot: one
-//!    atomic age read, one fine-grained lock acquisition per event, and
-//!    a lock-free monitor scan. Both disciplines are reproduced here
-//!    verbatim and driven by ≥8 genuinely parallel OS threads.
+//! The seed's single global `Mutex<HashMap>` discipline was measured
+//! against the sharded slots on real OS threads when the registry was
+//! sharded; that A/B is kept as evidence in
+//! `results/contention__2__*.csv`, not rerun here.
 
-use std::collections::HashMap;
-use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::thread;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
 use quartz::{NvmTarget, QuartzConfig};
 use quartz_platform::time::Duration;
 use quartz_platform::{Architecture, NodeId};
@@ -33,7 +23,7 @@ use crate::exp::{ExpCtx, ExpReport, Experiment};
 use crate::report::{f, Table};
 use crate::{run_workload, MachineSpec};
 
-/// Part 1: a lock/unlock storm under the real emulator. Returns
+/// A lock/unlock storm under the real emulator. Returns
 /// `(host_ns_per_event, events, lock_wait_ns, epochs)` where an "event"
 /// is one slot-lock acquisition (interposition touching shared state).
 fn emulated_storm(threads: u64, rounds: u64, monitor_pressure: bool) -> (f64, u64, u64, u64) {
@@ -82,146 +72,6 @@ fn emulated_storm(threads: u64, rounds: u64, monitor_pressure: bool) -> (f64, u6
     )
 }
 
-/// Seed-style per-thread state: everything behind one global map lock.
-#[derive(Default)]
-struct SeedPerThread {
-    epoch_start: u64,
-    snap: u64,
-    stats: u64,
-}
-
-/// Part 2a: the seed discipline. Each event performs the seed's three
-/// acquisitions of the single global `Mutex<HashMap>` — age check,
-/// snapshot read, stats write-back — while an optional monitor thread
-/// scans every entry under the same lock. Returns host ns/event.
-fn seed_discipline(nthreads: usize, events: u64, monitor: bool) -> f64 {
-    let map: Arc<Mutex<HashMap<usize, SeedPerThread>>> = Arc::new(Mutex::new(HashMap::new()));
-    for t in 0..nthreads {
-        map.lock().insert(t, SeedPerThread::default());
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let mon = monitor.then(|| {
-        let map = Arc::clone(&map);
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut acc = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // The seed's monitor: lock the map, scan all threads.
-                for pt in map.lock().values() {
-                    acc = acc.wrapping_add(pt.epoch_start);
-                }
-                black_box(acc);
-                thread::yield_now();
-            }
-        })
-    });
-    let barrier = Arc::new(Barrier::new(nthreads + 1));
-    let workers: Vec<_> = (0..nthreads)
-        .map(|t| {
-            let map = Arc::clone(&map);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait();
-                for e in 0..events {
-                    // Acquisition 1: minimum-epoch age check.
-                    let age = map.lock().get(&t).map(|pt| pt.epoch_start).unwrap_or(0);
-                    // Acquisition 2: read the counter snapshot.
-                    let snap = map.lock().get(&t).map(|pt| pt.snap).unwrap_or(0);
-                    let delta = black_box(e.wrapping_sub(snap).wrapping_add(age));
-                    // Acquisition 3: write back snap + stats.
-                    let mut g = map.lock();
-                    if let Some(pt) = g.get_mut(&t) {
-                        pt.snap = e;
-                        pt.stats = pt.stats.wrapping_add(delta);
-                        pt.epoch_start = e;
-                    }
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    for w in workers {
-        w.join().unwrap();
-    }
-    let elapsed = t0.elapsed().as_nanos() as f64;
-    stop.store(true, Ordering::Relaxed);
-    if let Some(m) = mon {
-        m.join().unwrap();
-    }
-    elapsed / (nthreads as u64 * events) as f64
-}
-
-/// Sharded per-thread slot, as in `quartz::registry`: monitor-readable
-/// atomics plus an owner-only interior behind a fine-grained lock.
-struct BenchSlot {
-    epoch_start: AtomicU64,
-    owner: Mutex<(u64, u64)>, // (snap, stats)
-}
-
-/// Part 2b: the sharded discipline. One atomic age read plus one
-/// slot-lock acquisition per event; the monitor scans atomics only.
-fn sharded_discipline(nthreads: usize, events: u64, monitor: bool) -> f64 {
-    let slots: Arc<RwLock<Vec<Arc<BenchSlot>>>> = Arc::new(RwLock::new(
-        (0..nthreads)
-            .map(|_| {
-                Arc::new(BenchSlot {
-                    epoch_start: AtomicU64::new(0),
-                    owner: Mutex::new((0, 0)),
-                })
-            })
-            .collect(),
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mon = monitor.then(|| {
-        let slots = Arc::clone(&slots);
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut acc = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Lock-free age scan: atomics only, no slot lock.
-                for s in slots.read().iter() {
-                    acc = acc.wrapping_add(s.epoch_start.load(Ordering::Acquire));
-                }
-                black_box(acc);
-                thread::yield_now();
-            }
-        })
-    });
-    let barrier = Arc::new(Barrier::new(nthreads + 1));
-    let workers: Vec<_> = (0..nthreads)
-        .map(|t| {
-            let slot = Arc::clone(&slots.read()[t]);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait();
-                for e in 0..events {
-                    // Lock-free age check.
-                    let age = slot.epoch_start.load(Ordering::Acquire);
-                    // The one-and-only lock acquisition for this event.
-                    let mut owner = slot.owner.lock();
-                    let delta = black_box(e.wrapping_sub(owner.0).wrapping_add(age));
-                    owner.0 = e;
-                    owner.1 = owner.1.wrapping_add(delta);
-                    drop(owner);
-                    slot.epoch_start.store(e, Ordering::Release);
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    for w in workers {
-        w.join().unwrap();
-    }
-    let elapsed = t0.elapsed().as_nanos() as f64;
-    stop.store(true, Ordering::Relaxed);
-    if let Some(m) = mon {
-        m.join().unwrap();
-    }
-    elapsed / (nthreads as u64 * events) as f64
-}
-
 /// Runs the contention study. Host-timed (wall-clock `Instant` around
 /// real OS threads), so it is the one experiment excluded from the
 /// byte-identical determinism contract; it always evaluates serially.
@@ -233,7 +83,7 @@ impl Experiment for Contention {
     }
 
     fn description(&self) -> &'static str {
-        "interposition hot-path contention: emulated storm + locking-discipline A/B"
+        "interposition hot-path contention: emulated unlock storm with slot-lock telemetry"
     }
 
     fn paper_ref(&self) -> &'static str {
@@ -245,7 +95,7 @@ impl Experiment for Contention {
     }
 
     fn run(&self, ctx: &ExpCtx) -> ExpReport {
-        // Part 1: the real emulator under a synchronization storm.
+        // The real emulator under a synchronization storm.
         let rounds = if ctx.quick() { 150 } else { 600 };
         let mut storm = Table::new(
             "Contention (1) — emulated unlock storm, host-side slot-lock telemetry",
@@ -277,44 +127,11 @@ impl Experiment for Contention {
                 ]);
             }
         }
-        // Part 2: seed vs sharded locking discipline on real OS threads.
-        let events = if ctx.quick() { 40_000 } else { 200_000 };
-        let mut ab = Table::new(
-            "Contention (2) — per-event host ns, global Mutex<HashMap> (seed) vs sharded slots",
-            &[
-                "os threads",
-                "monitor",
-                "seed ns/event",
-                "sharded ns/event",
-                "speedup",
-            ],
-        );
-        let mut speedup_at_8 = 0.0;
-        for nthreads in [1usize, 2, 4, 8, 16] {
-            for monitor in [false, true] {
-                let seed = seed_discipline(nthreads, events, monitor);
-                let sharded = sharded_discipline(nthreads, events, monitor);
-                let speedup = seed / sharded.max(f64::MIN_POSITIVE);
-                if nthreads == 8 && monitor {
-                    speedup_at_8 = speedup;
-                }
-                ab.row(&[
-                    nthreads.to_string(),
-                    if monitor { "yes" } else { "no" }.into(),
-                    f(seed, 1),
-                    f(sharded, 1),
-                    f(speedup, 2),
-                ]);
-            }
-        }
         let mut report = ExpReport::default();
-        report.table(storm).table(ab);
+        report.table(storm);
         report
-        .note("(the monitor's age scan is lock-free: monitor pressure multiplies epochs")
-        .note(" but must not grow per-event cost or slot-lock wait)")
-        .note(format!(
-            "(sharding pays off where it matters: {speedup_at_8:.1}x per-event at 8 threads under monitor pressure)"
-        ));
+            .note("(the monitor's age scan is lock-free: monitor pressure multiplies epochs")
+            .note(" but must not grow per-event cost or slot-lock wait)");
         report
     }
 }

@@ -177,17 +177,8 @@ impl Experiment for CrashSweep {
                 "durable fp",
             ],
         );
-        let mut false_positives = 0usize;
-        let mut false_negatives = 0usize;
-        let mut total_points = 0usize;
         let mut report = ExpReport::default();
         for r in &rows {
-            total_points += r.points;
-            if r.spec.expect_recover {
-                false_positives += r.detected;
-            } else if r.detected == 0 {
-                false_negatives += 1;
-            }
             table.row(&[
                 r.label.clone(),
                 if r.spec.expect_recover {
@@ -224,10 +215,6 @@ impl Experiment for CrashSweep {
             .take(160)
             .collect();
         report.table(table);
-        report.note(format!(
-            "(verdict: false_negatives={false_negatives} false_positives={false_positives} \
-             across {total_points} crash points from {ops}-op runs)"
-        ));
         if let Some(mt) = mt {
             report.note(format!(
                 "(multithreaded run derived {} lock-hand-off crash candidates)",
@@ -241,8 +228,60 @@ impl Experiment for CrashSweep {
             "(every point is evaluated offline from one recorded execution: \
              same seed => same durable images at any --jobs)",
         );
+        checker_verdicts(&mut report, &rows, ops);
         report
     }
+}
+
+/// The checker's acceptance verdicts: the correct protocol recovers at
+/// every crash point, every seeded bug is flagged at one or more, and
+/// the exported stats carry the end-of-run line states.
+fn checker_verdicts(report: &mut ExpReport, rows: &[SweepRow], ops: u64) {
+    let (correct, buggy): (Vec<&SweepRow>, Vec<&SweepRow>) =
+        rows.iter().partition(|r| r.spec.expect_recover);
+    let false_positives: usize = correct.iter().map(|r| r.detected).sum();
+    let unrecovered = correct.iter().filter(|r| r.recovered != r.points).count();
+    report.verdict(
+        "no_false_positives",
+        false_positives == 0 && unrecovered == 0,
+        format!(
+            "false_positives={false_positives}, {unrecovered} of {} correct-protocol runs \
+             short of full recovery",
+            correct.len()
+        ),
+    );
+    let false_negatives = buggy.iter().filter(|r| r.detected == 0).count();
+    report.verdict(
+        "no_false_negatives",
+        false_negatives == 0,
+        format!(
+            "false_negatives={false_negatives} of {} seeded-bug runs",
+            buggy.len()
+        ),
+    );
+    let total_points: usize = rows.iter().map(|r| r.points).sum();
+    let empty = rows.iter().filter(|r| r.points == 0).count();
+    report.verdict(
+        "coverage",
+        rows.len() >= 5 && empty == 0,
+        format!(
+            "{} configurations (>= 5 required), {empty} without crash points, \
+             {total_points} crash points from {ops}-op runs",
+            rows.len()
+        ),
+    );
+    let exported = rows
+        .iter()
+        .filter(|r| r.stats.to_json().contains("\"lines_durable\":"))
+        .count();
+    report.verdict(
+        "line_states_exported",
+        exported > 0,
+        format!(
+            "{exported} of {} stats blocks carry lines_durable",
+            rows.len()
+        ),
+    );
 }
 
 /// What one crash-cost measurement produced.
@@ -443,6 +482,40 @@ mod tests {
         assert!(bad.violated_claims > 0, "oracle must flag the lie");
         // The stats satellite: exported JSON carries the line states.
         assert!(bad.stats.to_json().contains("\"lines_durable\":"));
+    }
+
+    #[test]
+    fn missed_seeded_bug_fails_the_no_false_negatives_verdict() {
+        let mut bad = eval_sweep_point(
+            &Pt::new(
+                "missing_flush/t1/s4",
+                4,
+                SweepSpec {
+                    variant: UndoVariant::MissingDataFlush,
+                    threads: 1,
+                    expect_recover: false,
+                },
+            ),
+            12,
+            16,
+        );
+        let mut report = ExpReport::default();
+        checker_verdicts(&mut report, std::slice::from_ref(&bad), 12);
+        assert!(
+            report.verdicts[..2].iter().all(|v| v.pass),
+            "{:?}",
+            report.verdicts
+        );
+
+        // Doctor the row into a checker that flagged nothing.
+        bad.detected = 0;
+        let mut report = ExpReport::default();
+        checker_verdicts(&mut report, std::slice::from_ref(&bad), 12);
+        let failure = report.verdict_failure().expect("missed bug must fail");
+        assert_eq!(
+            failure.message,
+            "verdict 'no_false_negatives' failed: false_negatives=1 of 1 seeded-bug runs"
+        );
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   per-thread slot and flags the undrained flush as an epoch-state
 //!   anomaly, so the runtime stays usable for the next run.
 //!
-//! A misclassification panics the grid point, which quarantines this
-//! experiment and makes `repro` exit non-zero — the self-test *is* the
+//! A misclassification or an unexpected diagnostic fails the
+//! experiment's `classified` or `diagnosed` verdict, which quarantines
+//! it and makes `repro` exit non-zero — the self-test *is* the
 //! assertion. The table prints only deterministic diagnostics (thread
 //! ids, cycles, configured budgets — never host-dependent sim-times of
 //! the hang path), so the experiment participates in the byte-identical
@@ -41,7 +42,7 @@ use quartz_platform::time::Duration;
 use quartz_platform::Architecture;
 use quartz_threadsim::{Engine, SimFailure};
 
-use crate::exp::{ExpCtx, ExpReport, Experiment};
+use crate::exp::{offenders, ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
 use crate::report::Table;
 use crate::MachineSpec;
@@ -110,14 +111,50 @@ impl Scenario {
             Scenario::LivelockCasStorm => "livelock",
         }
     }
+
+    /// The diagnostic the scenario must produce: the whole line for the
+    /// deliberate failures (threads, locks, payload and budgets are
+    /// fixed by construction), the leading words for the healthy runs,
+    /// whose line ends in a virtual timestamp.
+    fn diagnostic(self) -> String {
+        const CYCLE: &str = "t1 -(m1)-> t2, t2 -(m0)-> t1";
+        match self {
+            Scenario::Clean => "completed at ".to_string(),
+            Scenario::DeadlockAbba => CYCLE.to_string(),
+            Scenario::PanicChild => "t1 \"injected fault\"".to_string(),
+            Scenario::HangVirtualSpin => format!("t0 exceeded {HANG_BUDGET_MS}ms watchdog budget"),
+            Scenario::LivelockCasStorm => {
+                format!("t1+t2 failed {LIVELOCK_THRESHOLD} consecutive CAS without progress")
+            }
+            Scenario::DeadlockQuartzReap => format!("{CYCLE}; reaped=3 anomalies=1"),
+            Scenario::TimeoutRecvExpiry => {
+                "recv_timeout + send_timeout expired cleanly at ".to_string()
+            }
+        }
+    }
 }
 
 /// One evaluated scenario, ready for the table.
 struct Row {
     label: String,
-    expected: &'static str,
+    scenario: Scenario,
     observed: String,
     diagnostic: String,
+}
+
+impl Row {
+    fn classified(&self) -> bool {
+        self.observed == self.scenario.expected()
+    }
+
+    fn diagnosed(&self) -> bool {
+        let want = self.scenario.diagnostic();
+        if self.scenario.expected() == "ok" {
+            self.diagnostic.starts_with(&want)
+        } else {
+            self.diagnostic == want
+        }
+    }
 }
 
 /// A fully deterministic machine: classification diagnostics must be
@@ -130,8 +167,12 @@ fn taxonomy_machine(seed: u64) -> Arc<MemorySystem> {
         .build()
 }
 
-/// Renders a deadlock cycle as `t1 -(m1)-> t2, t2 -(m0)-> t1`.
-fn render_cycle(failure: &SimFailure) -> String {
+/// The deterministic one-line diagnostic of a classified failure:
+/// deadlock cycles as `t1 -(m1)-> t2, t2 -(m0)-> t1`, the panicking
+/// thread with its payload, the hang's token holder and budget, the
+/// livelock's spinning set and threshold. Never a host-dependent
+/// sim-time.
+fn describe(failure: &SimFailure) -> String {
     match failure {
         SimFailure::Deadlock(report) => report
             .cycle
@@ -139,7 +180,23 @@ fn render_cycle(failure: &SimFailure) -> String {
             .map(|e| e.to_string())
             .collect::<Vec<_>>()
             .join(", "),
-        _ => String::new(),
+        SimFailure::ThreadPanic {
+            thread, message, ..
+        } => format!("t{} \"{}\"", thread.0, message),
+        SimFailure::Hang { thread, budget, .. } => {
+            format!("t{} exceeded {:?} watchdog budget", thread.0, budget)
+        }
+        SimFailure::Livelock {
+            threads, threshold, ..
+        } => {
+            let spinners = threads
+                .iter()
+                .map(|t| format!("t{}", t.0))
+                .collect::<Vec<_>>()
+                .join("+");
+            format!("{spinners} failed {threshold} consecutive CAS without progress")
+        }
+        other => other.to_string(),
     }
 }
 
@@ -163,169 +220,74 @@ fn spawn_abba(ctx: &mut quartz_threadsim::ThreadCtx) {
 
 fn eval(pt: &Pt<Scenario>) -> Row {
     let scenario = pt.data;
-    let label = pt.label.clone();
     let mem = taxonomy_machine(pt.seed);
     let engine = Engine::new(Arc::clone(&mem));
-    let (observed, diagnostic) = match scenario {
-        Scenario::Clean => {
-            let report = engine
-                .try_run(|ctx| {
-                    let m = ctx.mutex_new();
-                    let kids: Vec<_> = (0..2)
-                        .map(|_| {
-                            ctx.spawn(move |c| {
-                                c.mutex_lock(m);
-                                c.compute_ns(10_000.0);
-                                c.mutex_unlock(m);
-                            })
-                        })
-                        .collect();
-                    for k in kids {
-                        ctx.join(k);
-                    }
+    let mut quartz = None;
+    let outcome = match scenario {
+        Scenario::Clean => engine.try_run(|ctx| {
+            let m = ctx.mutex_new();
+            let kids: Vec<_> = (0..2)
+                .map(|_| {
+                    ctx.spawn(move |c| {
+                        c.mutex_lock(m);
+                        c.compute_ns(10_000.0);
+                        c.mutex_unlock(m);
+                    })
                 })
-                .unwrap_or_else(|f| panic!("{label}: healthy run misclassified as {f}"));
-            (
-                "ok".to_string(),
-                format!("completed at {}", report.end_time),
-            )
-        }
-        Scenario::DeadlockAbba => {
-            let failure = engine
-                .try_run(spawn_abba)
-                .expect_err("ABBA inversion must not complete");
-            let SimFailure::Deadlock(report) = &failure else {
-                panic!("{label}: expected Deadlock, got {failure}");
-            };
-            assert_eq!(
-                report.cycle.len(),
-                2,
-                "{label}: two-edge mutex cycle named: {report}"
-            );
-            (failure.kind().to_string(), render_cycle(&failure))
-        }
-        Scenario::PanicChild => {
-            let failure = engine
-                .try_run(|ctx| {
-                    let k = ctx.spawn(|c| {
-                        c.compute_ns(2_000.0);
-                        panic!("injected fault");
-                    });
-                    ctx.join(k);
-                })
-                .expect_err("panicking child must not complete");
-            let SimFailure::ThreadPanic {
-                thread, message, ..
-            } = &failure
-            else {
-                panic!("{label}: expected ThreadPanic, got {failure}");
-            };
-            assert_eq!(
-                message, "injected fault",
-                "{label}: original payload carried"
-            );
-            (
-                failure.kind().to_string(),
-                format!("t{} \"{}\"", thread.0, message),
-            )
-        }
+                .collect();
+            for k in kids {
+                ctx.join(k);
+            }
+        }),
+        Scenario::DeadlockAbba => engine.try_run(spawn_abba),
+        Scenario::PanicChild => engine.try_run(|ctx| {
+            let k = ctx.spawn(|c| {
+                c.compute_ns(2_000.0);
+                panic!("injected fault");
+            });
+            ctx.join(k);
+        }),
         Scenario::HangVirtualSpin => {
             engine.set_watchdog(Some(std::time::Duration::from_millis(HANG_BUDGET_MS)));
-            let failure = engine
-                .try_run(|ctx| loop {
-                    ctx.compute_ns(10.0);
-                })
-                .expect_err("virtual spin must trip the watchdog");
-            let SimFailure::Hang { thread, budget, .. } = &failure else {
-                panic!("{label}: expected Hang, got {failure}");
-            };
-            assert_eq!(thread.0, 0, "{label}: the spinning root named as holder");
-            (
-                failure.kind().to_string(),
-                format!("t{} exceeded {:?} watchdog budget", thread.0, budget),
-            )
+            engine.try_run(|ctx| loop {
+                ctx.compute_ns(10.0);
+            })
         }
         Scenario::LivelockCasStorm => {
             engine.set_livelock_threshold(LIVELOCK_THRESHOLD);
             let a = engine.atomic_u64(0);
-            let failure = engine
-                .try_run(move |ctx| {
-                    let kids: Vec<_> = (0..2)
-                        .map(|_| {
-                            ctx.spawn(move |c| loop {
-                                c.compute_ns(25.0);
-                                // The expected value never appears, so
-                                // nobody ever makes progress — the
-                                // definitional livelock.
-                                let _ = a.compare_exchange(c, 99, 100);
-                            })
+            engine.try_run(move |ctx| {
+                let kids: Vec<_> = (0..2)
+                    .map(|_| {
+                        ctx.spawn(move |c| loop {
+                            c.compute_ns(25.0);
+                            // The expected value never appears, so
+                            // nobody ever makes progress — the
+                            // definitional livelock.
+                            let _ = a.compare_exchange(c, 99, 100);
                         })
-                        .collect();
-                    for k in kids {
-                        ctx.join(k);
-                    }
-                })
-                .expect_err("CAS storm must trip the streak detector");
-            let SimFailure::Livelock {
-                threads, threshold, ..
-            } = &failure
-            else {
-                panic!("{label}: expected Livelock, got {failure}");
-            };
-            assert_eq!(
-                *threshold, LIVELOCK_THRESHOLD,
-                "{label}: configured threshold reported"
-            );
-            let spinners = threads
-                .iter()
-                .map(|t| format!("t{}", t.0))
-                .collect::<Vec<_>>()
-                .join("+");
-            assert_eq!(spinners, "t1+t2", "{label}: spinning set named");
-            (
-                failure.kind().to_string(),
-                format!("{spinners} failed {threshold} consecutive CAS without progress"),
-            )
+                    })
+                    .collect();
+                for k in kids {
+                    ctx.join(k);
+                }
+            })
         }
         Scenario::DeadlockQuartzReap => {
-            let quartz = Quartz::new(
+            let q = Quartz::new(
                 QuartzConfig::new(NvmTarget::new(300.0).with_write_delay_ns(450.0))
                     .with_max_epoch(Duration::from_us(50)),
                 Arc::clone(&mem),
             )
             .expect("valid quartz config");
-            quartz.attach(&engine).expect("attach");
-            let q = Arc::clone(&quartz);
-            let failure = engine
-                .try_run(move |ctx| {
-                    let buf = q.pmalloc(ctx, 4096).expect("pmalloc");
-                    ctx.store(buf);
-                    q.pflush_opt(ctx, buf); // left pending on purpose
-                    spawn_abba(ctx);
-                })
-                .expect_err("ABBA inversion must not complete");
-            assert!(
-                matches!(failure, SimFailure::Deadlock(_)),
-                "{label}: expected Deadlock, got {failure}"
-            );
-            let stats = quartz.stats();
-            assert_eq!(
-                stats.degradation.orphan_slots_reaped, 3,
-                "{label}: root + two children reaped"
-            );
-            assert_eq!(
-                stats.degradation.epoch_state_anomalies, 1,
-                "{label}: the undrained pflush_opt flagged"
-            );
-            (
-                failure.kind().to_string(),
-                format!(
-                    "{}; reaped={} anomalies={}",
-                    render_cycle(&failure),
-                    stats.degradation.orphan_slots_reaped,
-                    stats.degradation.epoch_state_anomalies
-                ),
-            )
+            q.attach(&engine).expect("attach");
+            quartz = Some(Arc::clone(&q));
+            engine.try_run(move |ctx| {
+                let buf = q.pmalloc(ctx, 4096).expect("pmalloc");
+                ctx.store(buf);
+                q.pflush_opt(ctx, buf); // left pending on purpose
+                spawn_abba(ctx);
+            })
         }
         Scenario::TimeoutRecvExpiry => {
             // Same watchdog the hang scenario uses: if timed waits were
@@ -333,42 +295,51 @@ fn eval(pt: &Pt<Scenario>) -> Row {
             engine.set_watchdog(Some(std::time::Duration::from_millis(HANG_BUDGET_MS)));
             let never_fed = engine.channel::<u64>();
             let slot = engine.bounded_channel::<u64>(1);
-            let report = engine
-                .try_run(move |ctx| {
-                    use quartz_threadsim::{RecvTimeoutError, SendTimeoutError};
-                    let r = ctx.chan_recv_timeout(&never_fed, Duration::from_us(500));
-                    assert!(
-                        matches!(r, Err(RecvTimeoutError::Timeout)),
-                        "never-fed channel must expire, got {r:?}"
-                    );
-                    // Same discipline on the send side: a full bounded
-                    // slot with no drainer expires instead of wedging.
-                    ctx.chan_send(&slot, 1);
-                    let s = ctx.chan_send_timeout(&slot, 2, Duration::from_us(500));
-                    assert!(
-                        matches!(s, Err(SendTimeoutError::Timeout(2))),
-                        "full slot must expire the timed send"
-                    );
-                })
-                .unwrap_or_else(|f| panic!("{label}: timed expiry misclassified as {f}"));
-            (
-                "ok".to_string(),
-                format!(
-                    "recv_timeout + send_timeout expired cleanly at {} \
-                     (watchdog armed, no hang/deadlock)",
-                    report.end_time
-                ),
-            )
+            engine.try_run(move |ctx| {
+                use quartz_threadsim::{RecvTimeoutError, SendTimeoutError};
+                let r = ctx.chan_recv_timeout(&never_fed, Duration::from_us(500));
+                assert!(
+                    matches!(r, Err(RecvTimeoutError::Timeout)),
+                    "never-fed channel must expire, got {r:?}"
+                );
+                // Same discipline on the send side: a full bounded
+                // slot with no drainer expires instead of wedging.
+                ctx.chan_send(&slot, 1);
+                let s = ctx.chan_send_timeout(&slot, 2, Duration::from_us(500));
+                assert!(
+                    matches!(s, Err(SendTimeoutError::Timeout(2))),
+                    "full slot must expire the timed send"
+                );
+            })
         }
     };
-    assert_eq!(
-        observed,
-        scenario.expected(),
-        "{label}: classification mismatch"
-    );
+    let (observed, mut diagnostic) = match &outcome {
+        Ok(report) if scenario == Scenario::TimeoutRecvExpiry => (
+            "ok".to_string(),
+            format!(
+                "recv_timeout + send_timeout expired cleanly at {} \
+                 (watchdog armed, no hang/deadlock)",
+                report.end_time
+            ),
+        ),
+        Ok(report) => (
+            "ok".to_string(),
+            format!("completed at {}", report.end_time),
+        ),
+        Err(failure) => (failure.kind().to_string(), describe(failure)),
+    };
+    // Emulator-side containment: every orphaned per-thread slot reaped,
+    // the undrained flush flagged as an epoch-state anomaly.
+    if let Some(q) = quartz {
+        let d = q.stats().degradation;
+        diagnostic.push_str(&format!(
+            "; reaped={} anomalies={}",
+            d.orphan_slots_reaped, d.epoch_state_anomalies
+        ));
+    }
     Row {
-        label,
-        expected: scenario.expected(),
+        label: pt.label.clone(),
+        scenario,
         observed,
         diagnostic,
     }
@@ -404,18 +375,12 @@ impl Experiment for FailureModes {
         for r in &rows {
             table.row(&[
                 r.label.clone(),
-                r.expected.to_string(),
+                r.scenario.expected().to_string(),
                 r.observed.clone(),
                 r.diagnostic.clone(),
             ]);
         }
         let mut report = ExpReport::with_table(table);
-        report.note(format!(
-            "(verdict: {}/{} scenarios classified as expected; a misclassification \
-             panics its grid point and quarantines this experiment)",
-            rows.len(),
-            Scenario::ALL.len()
-        ));
         report.note(format!(
             "(hang detection is host-timed — watchdog budget {HANG_BUDGET_MS} ms — but the \
              classification and named token holder are deterministic; host-dependent \
@@ -426,6 +391,68 @@ impl Experiment for FailureModes {
              per-thread slots reaped and the undrained flush counted as an epoch-state \
              anomaly, leaving the runtime clean for subsequent runs)",
         );
+        let total = Scenario::ALL.len();
+        let misclassified: Vec<&str> = rows
+            .iter()
+            .filter(|r| !r.classified())
+            .map(|r| r.label.as_str())
+            .collect();
+        report.verdict(
+            "classified",
+            rows.len() == total && misclassified.is_empty(),
+            format!(
+                "{}/{total} scenarios classified as expected; misclassified={}",
+                rows.len() - misclassified.len(),
+                offenders(&misclassified)
+            ),
+        );
+        let undiagnosed: Vec<&str> = rows
+            .iter()
+            .filter(|r| !r.diagnosed())
+            .map(|r| r.label.as_str())
+            .collect();
+        report.verdict(
+            "diagnosed",
+            undiagnosed.is_empty(),
+            format!(
+                "{}/{total} diagnostics name the expected threads, locks, payload and \
+                 budgets; mismatched={}",
+                rows.len() - undiagnosed.len(),
+                offenders(&undiagnosed)
+            ),
+        );
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_misclassified_scenario_fails_its_verdicts() {
+        let row = |scenario: Scenario, observed: &str, diagnostic: String| Row {
+            label: scenario.name().to_string(),
+            scenario,
+            observed: observed.to_string(),
+            diagnostic,
+        };
+        let good = row(
+            Scenario::DeadlockAbba,
+            "deadlock",
+            Scenario::DeadlockAbba.diagnostic(),
+        );
+        assert!(good.classified() && good.diagnosed());
+        // A three-edge cycle is not the ABBA pair.
+        let long = row(
+            Scenario::DeadlockAbba,
+            "deadlock",
+            format!("{}, t3 -(m2)-> t1", Scenario::DeadlockAbba.diagnostic()),
+        );
+        assert!(long.classified() && !long.diagnosed());
+        let missed = row(Scenario::HangVirtualSpin, "ok", "completed at 5 ns".into());
+        assert!(!missed.classified() && !missed.diagnosed());
+        let clean = row(Scenario::Clean, "ok", "completed at 22154.000 ns".into());
+        assert!(clean.classified() && clean.diagnosed());
     }
 }

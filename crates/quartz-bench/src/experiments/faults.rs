@@ -9,7 +9,8 @@
 //! and constant TSC skew are absorbed exactly, retry/fallback paths may
 //! cost bounded overhead, lost monitor firings at most delay epoch
 //! closes. Each faulted run's [`DegradationStats`] block is exported in
-//! the JSON row so CI can assert the degradation paths actually fired.
+//! the JSON row, and the experiment's verdicts check that the
+//! degradation paths actually fired.
 //!
 //! Entirely virtual-time quantities, so the experiment participates in
 //! the byte-identical determinism guarantee at any `--jobs` count: the
@@ -28,7 +29,7 @@ use quartz_platform::time::Duration;
 use quartz_platform::{Architecture, NodeId};
 use quartz_workloads::{run_memlat, run_multithreaded, MemLatConfig, MultiThreadedConfig};
 
-use crate::exp::{ExpCtx, ExpReport, Experiment};
+use crate::exp::{offenders, ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
 use crate::report::{f, Table};
 use crate::{error_pct, run_workload, MachineSpec};
@@ -140,6 +141,82 @@ fn run_cell(
     (value, quartz.expect("quartz attached").stats())
 }
 
+impl CellRow {
+    /// Whether the drift stays inside the class's declared bound.
+    fn within_bound(&self) -> bool {
+        self.err_pct <= self.class.error_bound_pct() + 1e-9
+    }
+
+    /// The control and pure constant skew must be absorbed exactly;
+    /// every other class must leave a trace in the degradation block,
+    /// or the fault never reached its seam.
+    fn expect_quiet(&self) -> bool {
+        matches!(self.class, FaultClass::None | FaultClass::TscSkew)
+    }
+}
+
+/// The degradation contract, judged over every cell.
+fn matrix_verdicts(report: &mut ExpReport, rows: &[CellRow]) {
+    report.verdict(
+        "coverage",
+        rows.len() == 16,
+        format!(
+            "{} cells (2 workloads x 8 fault classes required)",
+            rows.len()
+        ),
+    );
+    let violations: Vec<&str> = rows
+        .iter()
+        .filter(|r| !r.within_bound())
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "within_bounds",
+        violations.is_empty(),
+        format!(
+            "bound_violations={} across {} cells",
+            offenders(&violations),
+            rows.len()
+        ),
+    );
+    let drifted: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.expect_quiet() && r.err_pct != 0.0)
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "absorbed_exactly",
+        drifted.is_empty(),
+        format!(
+            "none/tsc_skew cells with nonzero drift={}",
+            offenders(&drifted)
+        ),
+    );
+    let silent: Vec<&str> = rows
+        .iter()
+        .filter(|r| !r.expect_quiet() && r.total_faults == 0)
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "no_silent_classes",
+        silent.is_empty(),
+        format!("silent_fault_classes={}", offenders(&silent)),
+    );
+    // The exported stats carry the degradation block exactly where
+    // faults fired: present for the storm, absent from the control.
+    let stats_of = |label: &str| rows.iter().find(|r| r.label == label).map(|r| &r.stats);
+    let storm_faults = stats_of("memlat/storm").map_or(0, |s| s.degradation.total_faults());
+    let control_clean =
+        stats_of("memlat/none").is_some_and(|s| !s.to_json().contains("\"degradation\""));
+    report.verdict(
+        "degradation_exported",
+        storm_faults >= 1 && control_clean,
+        format!(
+            "memlat/storm total_faults={storm_faults}, memlat/none degradation block absent={control_clean}"
+        ),
+    );
+}
+
 fn eval_cell(pt: &Pt<Cell>, quick: bool) -> CellRow {
     let cell = pt.data;
     let (baseline, _) = run_cell(cell.workload, None, pt.seed, quick);
@@ -199,21 +276,8 @@ impl Experiment for FaultMatrix {
             ],
         );
         let mut report = ExpReport::default();
-        let mut violations = 0usize;
-        let mut quiet_classes = 0usize;
         for r in &rows {
             let bound = r.class.error_bound_pct();
-            let ok = r.err_pct <= bound + 1e-9;
-            if !ok {
-                violations += 1;
-            }
-            // Every class except the control and pure skew must leave a
-            // trace in the degradation block, or the fault never reached
-            // its seam.
-            let expect_quiet = matches!(r.class, FaultClass::None | FaultClass::TscSkew);
-            if !expect_quiet && r.total_faults == 0 {
-                quiet_classes += 1;
-            }
             table.row(&[
                 r.label.clone(),
                 f(r.baseline, 2),
@@ -221,16 +285,17 @@ impl Experiment for FaultMatrix {
                 f(r.err_pct, 3),
                 f(bound, 1),
                 r.total_faults.to_string(),
-                if ok { "within" } else { "EXCEEDED" }.into(),
+                if r.within_bound() {
+                    "within"
+                } else {
+                    "EXCEEDED"
+                }
+                .into(),
             ]);
             report.stat(r.label.clone(), r.stats.to_json());
         }
         report.table(table);
-        report.note(format!(
-            "(verdict: bound_violations={violations} silent_fault_classes={quiet_classes} \
-             across {} cells; 0/0 required)",
-            rows.len()
-        ));
+        matrix_verdicts(&mut report, &rows);
         report.note(
             "(each cell is a same-seed A/B on a jitter-free machine with perfect counters: \
              drift is attributable to the injected fault alone)",

@@ -16,10 +16,21 @@
 
 use quartz_lockfree::{run_sweep, LfVariant, Structure, SweepOutcome, SweepSpec};
 
-use crate::exp::{ExpCtx, ExpReport, Experiment};
+use crate::exp::{offenders, ExpCtx, ExpReport, Experiment};
 use crate::grid::Pt;
 use crate::json::Json;
 use crate::report::Table;
+
+/// The structures the sweep covers.
+const STRUCTURES: [Structure; 2] = [Structure::Stack, Structure::Queue];
+
+/// The durability variants run on every structure: the correct
+/// protocol and the two seeded bugs.
+const VARIANTS: [LfVariant; 3] = [
+    LfVariant::Correct,
+    LfVariant::MissingFlush,
+    LfVariant::LostCheckpoint,
+];
 
 /// One grid point: which structure, which durability variant.
 #[derive(Clone, Copy, Debug)]
@@ -68,17 +79,11 @@ impl Experiment for LockfreeSweep {
 
     fn run(&self, ctx: &ExpCtx) -> ExpReport {
         let (threads, pushes, random_points) = if ctx.quick() { (3, 6, 24) } else { (4, 10, 64) };
-        let structures = [Structure::Stack, Structure::Queue];
-        let variants = [
-            LfVariant::Correct,
-            LfVariant::MissingFlush,
-            LfVariant::LostCheckpoint,
-        ];
         let mut seed = 0u64;
-        let points: Vec<Pt<PointSpec>> = structures
+        let points: Vec<Pt<PointSpec>> = STRUCTURES
             .iter()
             .flat_map(|&structure| {
-                variants
+                VARIANTS
                     .iter()
                     .map(move |&variant| PointSpec { structure, variant })
             })
@@ -154,10 +159,6 @@ impl Experiment for LockfreeSweep {
         }
         report.table(table);
         report.note(format!(
-            "(verdict: false_negatives={false_negatives} false_positives={false_positives} \
-             across {total_points} crash points from {threads}x{pushes}-op runs)"
-        ));
-        report.note(format!(
             "(winning CASes contributed {total_seams} cas_seam crash candidates; \
              epoch state settles before each publication)"
         ));
@@ -183,8 +184,67 @@ impl Experiment for LockfreeSweep {
             ),
         ]);
         report.bench_file("BENCH_lockfree.json", bench.render() + "\n");
+        sweep_verdicts(&mut report, &rows, threads * pushes);
         report
     }
+}
+
+/// The detectability layer's acceptance verdicts: both structures in
+/// all three variants, every point drained and seamed, no correct run
+/// flagged, every seeded bug caught.
+fn sweep_verdicts(report: &mut ExpReport, rows: &[SweepRow], pushed: usize) {
+    let mut missing = Vec::new();
+    for structure in STRUCTURES {
+        for variant in VARIANTS {
+            if !rows
+                .iter()
+                .any(|r| r.spec.structure == structure && r.spec.variant == variant)
+            {
+                missing.push(format!("{}/{}", structure.label(), variant.label()));
+            }
+        }
+    }
+    let unseamed: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.out.points == 0 || r.out.cas_seams == 0)
+        .map(|r| r.label.as_str())
+        .collect();
+    let undrained: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.out.popped != pushed)
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "coverage",
+        missing.is_empty() && unseamed.is_empty() && undrained.is_empty(),
+        format!(
+            "missing structure/variant={}, rows without points or cas seams={}, \
+             rows not popping all {pushed} pushes={}",
+            offenders(&missing),
+            offenders(&unseamed),
+            offenders(&undrained)
+        ),
+    );
+    let flagged: Vec<&str> = rows
+        .iter()
+        .filter(|r| !r.spec.variant.is_buggy() && r.out.caught())
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "no_false_positives",
+        flagged.is_empty(),
+        format!("correct runs flagged={}", offenders(&flagged)),
+    );
+    let missed: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.spec.variant.is_buggy() && !r.out.caught())
+        .map(|r| r.label.as_str())
+        .collect();
+    report.verdict(
+        "no_false_negatives",
+        missed.is_empty(),
+        format!("seeded bugs missed={}", offenders(&missed)),
+    );
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crate::exp::{ExpCtx, ExpFailure, Experiment};
+use crate::exp::{ExpCtx, ExpFailure, ExpReport, Experiment};
 use crate::json::Json;
 use crate::manifest::{ExperimentRecord, Manifest, RunStatus};
 
@@ -76,34 +76,31 @@ fn install_exp_failure_hook_filter() {
     });
 }
 
-/// Runs one experiment, converting any unwind into a quarantine
-/// status. A structured [`ExpFailure`] (thrown by `ExpCtx::grid` for a
-/// failing sweep point) keeps its point label; any other payload is
-/// rendered as a plain message.
-fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<crate::exp::ExpReport, RunStatus> {
-    match panic::catch_unwind(AssertUnwindSafe(|| exp.run(ctx))) {
-        Ok(report) => Ok(report),
-        Err(payload) => Err(if let Some(f) = payload.downcast_ref::<ExpFailure>() {
-            RunStatus::Failed {
-                message: f.message.clone(),
-                point: f.point.clone(),
-            }
-        } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-            RunStatus::Failed {
-                message: (*s).to_string(),
-                point: None,
-            }
+/// Runs one experiment, converting any unwind or failing verdict into
+/// a quarantine failure. A structured [`ExpFailure`] (thrown by
+/// `ExpCtx::grid` for a failing sweep point) keeps its point label; any
+/// other payload is rendered as a plain message; a report whose
+/// verdicts do not all pass fails on the first failing one.
+fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<ExpReport, ExpFailure> {
+    let report = panic::catch_unwind(AssertUnwindSafe(|| exp.run(ctx))).map_err(|payload| {
+        if let Some(f) = payload.downcast_ref::<ExpFailure>() {
+            return f.clone();
+        }
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
-            RunStatus::Failed {
-                message: s.clone(),
-                point: None,
-            }
+            s.clone()
         } else {
-            RunStatus::Failed {
-                message: "non-string panic payload".to_string(),
-                point: None,
-            }
-        }),
+            "non-string panic payload".to_string()
+        };
+        ExpFailure {
+            message,
+            point: None,
+        }
+    })?;
+    match report.verdict_failure() {
+        Some(failure) => Err(failure),
+        None => Ok(report),
     }
 }
 
@@ -111,7 +108,8 @@ fn run_quarantined(exp: &dyn Experiment, ctx: &ExpCtx) -> Result<crate::exp::Exp
 /// Returns the manifest (already saved to `out_dir/manifest.json`).
 ///
 /// An experiment that unwinds (simulation failure, assertion, injected
-/// fault) is **quarantined**: its failure is recorded in the manifest
+/// fault) or reports a failing [`crate::exp::Verdict`] is
+/// **quarantined**: its failure is recorded in the manifest
 /// (`status: failed`), nothing is saved for it, and — unless
 /// `fail_fast` — the remaining experiments still run with their
 /// console/CSV/JSON output untouched. Callers decide the process exit
@@ -133,7 +131,7 @@ pub fn run_experiments(
         let ctx = ExpCtx::new(opts.quick, opts.jobs);
         let t0 = Instant::now();
         let outcome = if opts.inject_fail.as_deref() == Some(exp.name()) {
-            Err(RunStatus::Failed {
+            Err(ExpFailure {
                 message: "injected failure (--inject-fail)".to_string(),
                 point: None,
             })
@@ -145,20 +143,18 @@ pub fn run_experiments(
 
         let report = match outcome {
             Ok(report) => report,
-            Err(status) => {
-                if let RunStatus::Failed { message, point } = &status {
-                    match point {
-                        Some(p) => writeln!(
-                            out,
-                            "!!! {} QUARANTINED at point '{}': {}",
-                            exp.name(),
-                            p,
-                            message
-                        )?,
-                        None => writeln!(out, "!!! {} QUARANTINED: {}", exp.name(), message)?,
-                    }
+            Err(ExpFailure { message, point }) => {
+                match &point {
+                    Some(p) => writeln!(
+                        out,
+                        "!!! {} QUARANTINED at point '{}': {}",
+                        exp.name(),
+                        p,
+                        message
+                    )?,
+                    None => writeln!(out, "!!! {} QUARANTINED: {}", exp.name(), message)?,
                 }
-                record.status = status;
+                record.status = RunStatus::Failed { message, point };
                 writeln!(out, "[{} took {:.1}s]\n", exp.name(), record.wall_ms / 1e3)?;
                 manifest.experiments.push(record);
                 if opts.fail_fast {
@@ -180,6 +176,9 @@ pub fn run_experiments(
         for note in &report.notes {
             writeln!(out, "{note}")?;
         }
+        for verdict in &report.verdicts {
+            writeln!(out, "{verdict}")?;
+        }
 
         // Per-experiment JSON rows: the machine-readable twin of the
         // console tables plus exported emulator statistics. No wall
@@ -199,6 +198,24 @@ pub fn run_experiments(
                 Json::Arr(report.notes.iter().map(|n| Json::str(n.clone())).collect()),
             ),
         ]);
+        if !report.verdicts.is_empty() {
+            row.push(
+                "verdicts",
+                Json::Arr(
+                    report
+                        .verdicts
+                        .iter()
+                        .map(|v| {
+                            Json::obj(vec![
+                                ("name", Json::str(v.name.clone())),
+                                ("pass", Json::Bool(v.pass)),
+                                ("detail", Json::str(v.detail.clone())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            );
+        }
         if !report.stats.is_empty() {
             row.push(
                 "quartz_stats",
@@ -245,7 +262,6 @@ pub fn run_experiments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::ExpReport;
     use crate::report::Table;
 
     struct Demo;
@@ -269,6 +285,7 @@ mod tests {
             }
             let mut r = ExpReport::with_table(t);
             r.note("a note").stat("run", "{\"k\":1}".into());
+            r.verdict("positive", true, "2 of 2 values > 0");
             r
         }
     }
@@ -289,6 +306,7 @@ mod tests {
         assert!(console.contains("=== demo — §0 ==="));
         assert!(console.contains("Demo harness table"));
         assert!(console.contains("a note"));
+        assert!(console.contains("verdict positive: pass — 2 of 2 values > 0"));
         assert!(console.contains("manifest:"));
         // Single experiment: no summary table.
         assert!(!console.contains("Run summary"));
@@ -302,6 +320,9 @@ mod tests {
         assert!(rows.contains("\"experiment\":\"demo\""));
         assert!(rows.contains("\"rows\":[{\"v\":\"2\"},{\"v\":\"6\"}]"));
         assert!(rows.contains("\"quartz_stats\":{\"run\":{\"k\":1}}"));
+        assert!(rows.contains(
+            "\"verdicts\":[{\"name\":\"positive\",\"pass\":true,\"detail\":\"2 of 2 values > 0\"}]"
+        ));
         assert!(!rows.contains("wall_ms"), "row files carry no wall times");
         assert!(dir.join("demo_harness_table.csv").exists());
         assert!(dir.join("manifest.json").exists());
@@ -369,6 +390,68 @@ mod tests {
         let manifest_body = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         assert!(manifest_body.contains("\"status\":\"failed\""));
         assert!(manifest_body.contains("\"point\":\"bad\""));
+    }
+
+    /// Runs to completion but reports a seeded false negative.
+    struct Refuted;
+    impl Experiment for Refuted {
+        fn name(&self) -> &'static str {
+            "refuted"
+        }
+        fn description(&self) -> &'static str {
+            "a test-only experiment whose results fail a verdict"
+        }
+        fn paper_ref(&self) -> &'static str {
+            "§0"
+        }
+        fn run(&self, _ctx: &ExpCtx) -> ExpReport {
+            let mut t = Table::new("Refuted table", &["bug", "detected"]);
+            t.row(&["seeded".into(), "0".into()]);
+            let mut r = ExpReport::with_table(t);
+            r.verdict("no_false_positives", true, "0 correct runs flagged")
+                .verdict("no_false_negatives", false, "1 seeded bug missed")
+                .verdict("coverage", false, "also failing, reported second");
+            r
+        }
+    }
+
+    #[test]
+    fn failing_verdict_quarantines_like_a_panic() {
+        let dir = std::env::temp_dir().join("quartz_bench_harness_verdict_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunOptions {
+            quick: true,
+            out_dir: dir.clone(),
+            jobs: 1,
+            ..RunOptions::default()
+        };
+        let mut buf = Vec::new();
+        let m = run_experiments(&[&Refuted, &Demo], &opts, &mut buf).unwrap();
+        let console = String::from_utf8(buf).unwrap();
+        let message = "verdict 'no_false_negatives' failed: 1 seeded bug missed";
+        assert!(
+            console.contains(&format!("!!! refuted QUARANTINED: {message}")),
+            "{console}"
+        );
+        assert!(console.contains("quarantined: refuted"), "{console}");
+        // Nothing of the refuted report is rendered or saved.
+        assert!(!console.contains("Refuted table"), "{console}");
+        assert!(!dir.join("refuted.json").exists());
+        assert!(!dir.join("refuted_table.csv").exists());
+        // `repro` exits 1 exactly when the manifest records a failure.
+        assert!(m.any_failed());
+        assert_eq!(
+            m.experiments[0].status,
+            RunStatus::Failed {
+                message: message.into(),
+                point: None,
+            }
+        );
+        assert!(m.experiments[0].tables.is_empty());
+        assert_eq!(m.experiments[1].status, RunStatus::Ok);
+        let manifest_body = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(manifest_body.contains("\"status\":\"failed\""));
+        assert!(manifest_body.contains(message), "{manifest_body}");
     }
 
     #[test]

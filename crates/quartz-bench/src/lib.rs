@@ -103,8 +103,8 @@ impl MachineSpec {
 ///
 /// Most experiments go through [`run_workload`]; use this directly when
 /// the workload needs the [`Engine`] *before* the root thread runs —
-/// e.g. to install channels or open-loop event sources (the `kv_service`
-/// experiment).
+/// e.g. to install channels or open-loop event sources (the
+/// `overload_matrix` experiment).
 ///
 /// # Panics
 ///

@@ -26,7 +26,7 @@ pub enum RunStatus {
     /// The experiment completed and its outputs were saved.
     Ok,
     /// The experiment unwound (simulation failure, assertion, injected
-    /// fault) and was quarantined.
+    /// fault) or reported a failing verdict, and was quarantined.
     Failed {
         /// Rendered failure description (e.g. a `SimFailure` message
         /// with the deadlock cycle named).

@@ -31,6 +31,8 @@
 //! [`FaultInjector`]: quartz_platform::FaultInjector
 //! [`Platform`]: quartz_platform::Platform
 
+#![forbid(unsafe_code)]
+
 mod injector;
 mod plan;
 mod service;

@@ -1,23 +1,60 @@
 //! Golden tests for the repro harness determinism contract and the CLI.
 //!
-//! * a quick run of a representative grid experiment must produce
-//!   byte-identical console output, CSVs, and JSON row files at
-//!   `--jobs 1` and `--jobs 8`;
+//! * one quick grid over [`GOLDEN`] must produce byte-identical console
+//!   output, CSVs, JSON row files and BENCH files at `--jobs 1` and
+//!   `--jobs 8`, with every experiment `ok` (every verdict passed);
+//!   the grid runs once per job count, and each per-experiment test
+//!   checks its own experiment's rows of those shared runs;
 //! * `repro --list` must cover the whole registry;
 //! * unknown experiment names must exit with status 2.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
+use std::sync::OnceLock;
 
 use quartz_bench::harness::{run_experiments, RunOptions};
+use quartz_bench::manifest::{Manifest, RunStatus};
 use quartz_bench::registry;
 
-/// Runs one quick experiment at the given job count, returning the
-/// console output (wall-time and manifest lines stripped — those are the
-/// only host-dependent parts) plus every result file as (name, bytes).
-fn golden_run(name: &str, jobs: usize, dir: &Path) -> (String, Vec<(String, Vec<u8>)>) {
+/// The experiments the golden runs cover, each with the BENCH files it
+/// must emit. Every deterministic experiment in the registry was
+/// byte-identical at `--jobs 1` and `--jobs 8` when this list was
+/// chosen, but a quick run of the whole registry under the unoptimized
+/// test build takes well over a minute per job count; widen the list
+/// once the engine's hand-off cost comes down. `memsim_throughput` is
+/// host-timed: only its BENCH file is compared, modulo
+/// [`strip_timing_fields`].
+const GOLDEN: &[(&str, &[&str])] = &[
+    ("ablation_pcommit", &[]),
+    ("asymmetry_ablation", &["BENCH_asymmetry.json"]),
+    ("crash_sweep", &[]),
+    ("fault_matrix", &[]),
+    ("failure_modes", &[]),
+    ("memsim_throughput", &["BENCH_memsim.json"]),
+    ("overload_matrix", &["BENCH_overload.json"]),
+    ("lockfree_sweep", &["BENCH_lockfree.json"]),
+];
+
+/// What one quick `run_experiments` call left behind.
+struct GoldenRun {
+    /// The console output.
+    console: String,
+    /// Every file in the output directory except `manifest.json`,
+    /// which records wall times and the job count by design.
+    files: BTreeMap<String, Vec<u8>>,
+    manifest: Manifest,
+    manifest_json: String,
+}
+
+/// Runs the named experiments in one quick `run_experiments` call at
+/// the given job count.
+fn golden_run(names: &[&str], jobs: usize, dir: &Path) -> GoldenRun {
     let _ = std::fs::remove_dir_all(dir);
-    let exp = registry::find(name).expect("registered");
+    let selection: Vec<_> = names
+        .iter()
+        .map(|n| registry::find(n).expect("registered"))
+        .collect();
     let opts = RunOptions {
         quick: true,
         out_dir: dir.to_path_buf(),
@@ -25,15 +62,8 @@ fn golden_run(name: &str, jobs: usize, dir: &Path) -> (String, Vec<(String, Vec<
         ..RunOptions::default()
     };
     let mut buf = Vec::new();
-    run_experiments(&[exp], &opts, &mut buf).unwrap();
-    let console: String = String::from_utf8(buf)
-        .unwrap()
-        .lines()
-        .filter(|l| !l.starts_with('[') && !l.starts_with("manifest:"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+    let manifest = run_experiments(&selection, &opts, &mut buf).unwrap();
+    let mut files: BTreeMap<String, Vec<u8>> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| {
             let e = e.unwrap();
@@ -42,167 +72,252 @@ fn golden_run(name: &str, jobs: usize, dir: &Path) -> (String, Vec<(String, Vec<
                 std::fs::read(e.path()).unwrap(),
             )
         })
-        // manifest.json records wall times and the job count by design.
-        .filter(|(name, _)| name != "manifest.json")
         .collect();
-    files.sort();
-    (console, files)
+    let manifest_json = String::from_utf8(files.remove("manifest.json").expect("manifest"))
+        .expect("UTF-8 manifest");
+    GoldenRun {
+        console: String::from_utf8(buf).unwrap(),
+        files,
+        manifest,
+        manifest_json,
+    }
+}
+
+/// The console output of each experiment: from its `=== name — ref ===`
+/// header up to its `[name took …]` line. The took-lines, the run
+/// summary and the manifest path carry wall times and are left out.
+fn console_sections(console: &str) -> BTreeMap<String, String> {
+    let mut sections = BTreeMap::new();
+    let mut current: Option<(String, String)> = None;
+    for line in console.lines() {
+        if let Some(header) = line.strip_prefix("=== ") {
+            let name = header.split(' ').next().unwrap().to_string();
+            current = Some((name, String::new()));
+        } else if line.starts_with('[') {
+            if let Some((name, body)) = current.take() {
+                sections.insert(name, body);
+            }
+        } else if let Some((_, body)) = current.as_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    sections
+}
+
+/// The quick grid over [`GOLDEN`] at `--jobs 1` and `--jobs 8`: run
+/// once per test binary and shared by every golden test below.
+fn golden() -> &'static (GoldenRun, GoldenRun) {
+    static RUNS: OnceLock<(GoldenRun, GoldenRun)> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let names: Vec<&str> = GOLDEN.iter().map(|(n, _)| *n).collect();
+        let base = std::env::temp_dir().join("quartz_bench_golden");
+        // The two job counts run side by side: the serial run alone
+        // would leave a core idle.
+        std::thread::scope(|s| {
+            let j1 = s.spawn(|| golden_run(&names, 1, &base.join("j1")));
+            let j8 = golden_run(&names, 8, &base.join("j8"));
+            (j1.join().expect("--jobs 1 run"), j8)
+        })
+    })
+}
+
+/// Checks one experiment of the shared golden runs: `ok` at both job
+/// counts (every verdict passed, each of `verdicts` among them), the
+/// BENCH files it indexes, and its console section and files identical
+/// at both job counts — byte for byte when it is deterministic, modulo
+/// [`strip_timing_fields`] in its BENCH files when it is host-timed.
+fn check_golden_row(name: &str, verdicts: &[&str]) {
+    let (j1, j8) = golden();
+    let benches = GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, b)| *b)
+        .expect("in GOLDEN");
+    let record = |run: &'static GoldenRun| {
+        run.manifest
+            .experiments
+            .iter()
+            .find(|e| e.name == name)
+            .expect("in the manifest")
+    };
+    let (console1, console8) = (console_sections(&j1.console), console_sections(&j8.console));
+    for (run, console, jobs) in [(j1, &console1, 1), (j8, &console8, 8)] {
+        let rec = record(run);
+        // `ok` means the experiment ran and every verdict passed.
+        assert_eq!(rec.status, RunStatus::Ok, "{name} at --jobs {jobs}");
+        assert!(rec.wall_ms > 0.0, "{name} at --jobs {jobs}");
+        assert_eq!(rec.benches, benches, "{name} at --jobs {jobs}");
+        for verdict in verdicts {
+            let line = format!("verdict {verdict}: pass");
+            assert!(console[name].contains(&line), "{name}: {line}");
+        }
+        let row = &run.files[&format!("{name}.json")];
+        assert!(row.starts_with(format!("{{\"experiment\":\"{name}\"").as_bytes()));
+        for bench in benches {
+            let header = format!("{{\"schema\":1,\"bench\":\"{name}\"");
+            assert!(run.files[*bench].starts_with(header.as_bytes()), "{bench}");
+        }
+    }
+
+    let rec = record(j1);
+    let text = |run: &GoldenRun, file: &str| String::from_utf8(run.files[file].clone()).unwrap();
+    if rec.deterministic {
+        assert_eq!(console1[name], console8[name], "{name} console");
+        let mut owned: Vec<String> = rec.tables.iter().map(|t| format!("{t}.csv")).collect();
+        owned.push(format!("{name}.json"));
+        for file in owned.iter().chain(&rec.benches) {
+            assert_eq!(j1.files[file], j8.files[file], "{file} differs");
+        }
+        for bench in &rec.benches {
+            let bench_text = text(j1, bench);
+            assert_eq!(
+                strip_timing_fields(&bench_text),
+                bench_text,
+                "{bench} is host-timed"
+            );
+        }
+    } else {
+        // Host-timed: only the BENCH file's non-timing fields (access
+        // counts, configs, trace events, the equivalence flag) must not
+        // depend on --jobs.
+        for bench in &rec.benches {
+            assert_eq!(
+                strip_timing_fields(&text(j1, bench)),
+                strip_timing_fields(&text(j8, bench)),
+                "{bench} non-timing fields"
+            );
+        }
+    }
 }
 
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical() {
-    let base = std::env::temp_dir().join("quartz_bench_golden");
-    let (console1, files1) = golden_run("ablation_pcommit", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("ablation_pcommit", 8, &base.join("j8"));
+    let names: Vec<&str> = GOLDEN.iter().map(|(n, _)| *n).collect();
+    let (j1, j8) = golden();
+    for (run, jobs) in [(j1, 1), (j8, 8)] {
+        let m = &run.manifest;
+        assert!(run.manifest_json.starts_with("{\"schema\":1,"));
+        assert_eq!(m.jobs, jobs);
+        let ran: Vec<&str> = m.experiments.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(ran, names);
+        assert!(m.experiments.iter().any(|e| !e.points.is_empty()));
+        // The manifest indexes exactly the BENCH files emitted.
+        let mut indexed: Vec<&String> = m.experiments.iter().flat_map(|e| &e.benches).collect();
+        indexed.sort();
+        let emitted: Vec<&String> = run
+            .files
+            .keys()
+            .filter(|f| f.starts_with("BENCH_"))
+            .collect();
+        assert_eq!(emitted, indexed);
+    }
     assert_eq!(
-        console1, console8,
-        "console output must not depend on --jobs"
+        j1.files.keys().collect::<Vec<_>>(),
+        j8.files.keys().collect::<Vec<_>>()
     );
-    assert!(!files1.is_empty(), "expected CSV + JSON row outputs");
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
+    for name in names {
+        check_golden_row(name, &[]);
     }
 }
 
 #[test]
 fn crash_sweep_is_byte_identical_at_any_jobs_count() {
-    // The crash-consistency sweep must uphold the determinism
-    // contract: same seed => byte-identical durable-line fingerprints,
-    // recovery verdicts, and JSON rows regardless of worker count.
+    let exp = registry::find("crash_sweep").expect("registered");
     assert!(
-        registry::find("crash_sweep")
-            .expect("registered")
-            .deterministic(),
+        exp.deterministic(),
         "crash_sweep must advertise determinism"
     );
-    let base = std::env::temp_dir().join("quartz_bench_golden_crash");
-    let (console1, files1) = golden_run("crash_sweep", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("crash_sweep", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(
-        console1.contains("false_negatives=0 false_positives=0"),
-        "the sweep verdict line must report a clean checker:\n{console1}"
+    check_golden_row(
+        "crash_sweep",
+        &["no_false_positives", "no_false_negatives", "coverage"],
     );
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
 }
 
 #[test]
 fn fault_matrix_is_byte_identical_at_any_jobs_count() {
-    // The fault matrix runs seeded fault injectors whose decision
-    // streams are pure functions of (seed, seam, sequence); the permit-
-    // handoff engine makes the sequences themselves deterministic. The
-    // experiment must therefore uphold the same byte-identity contract
-    // as every virtual-time study — faults included.
+    let exp = registry::find("fault_matrix").expect("registered");
     assert!(
-        registry::find("fault_matrix")
-            .expect("registered")
-            .deterministic(),
+        exp.deterministic(),
         "fault_matrix must advertise determinism"
     );
-    let base = std::env::temp_dir().join("quartz_bench_golden_faults");
-    let (console1, files1) = golden_run("fault_matrix", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("fault_matrix", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(
-        console1.contains("bound_violations=0 silent_fault_classes=0"),
-        "every cell must hold its declared bound and trip its seam:\n{console1}"
+    check_golden_row(
+        "fault_matrix",
+        &["within_bounds", "no_silent_classes", "degradation_exported"],
     );
-    // The control row proves the A/B methodology: zero drift, zero
-    // faults.
-    assert!(console1.contains("memlat/none"), "{console1}");
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    // The JSON rows carry the DegradationStats block for faulted cells.
-    let json = files1
-        .iter()
-        .find(|(n, _)| n.ends_with(".json"))
-        .map(|(_, b)| String::from_utf8_lossy(b).into_owned())
-        .expect("JSON row file");
-    assert!(json.contains("\"degradation\""), "{json}");
-    assert!(json.contains("\"total_faults\""), "{json}");
 }
 
 #[test]
 fn failure_modes_is_byte_identical_and_classifies_all_modes() {
-    // The failure-taxonomy self-test deliberately deadlocks, panics, and
-    // hangs micro-workloads; the containment machinery must classify
-    // each with a named diagnostic, and the printed table must be
-    // byte-identical at any --jobs (hang detection is host-timed but its
-    // classification output is not).
+    let exp = registry::find("failure_modes").expect("registered");
     assert!(
-        registry::find("failure_modes")
-            .expect("registered")
-            .deterministic(),
+        exp.deterministic(),
         "failure_modes must advertise determinism"
     );
-    let base = std::env::temp_dir().join("quartz_bench_golden_failure_modes");
-    let (console1, files1) = golden_run("failure_modes", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("failure_modes", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    // Every scenario row present, classified as expected.
-    for scenario in [
-        "clean/control",
-        "deadlock/abba",
-        "panic/child",
-        "hang/virtual_spin",
-        "livelock/cas_storm",
-        "deadlock/quartz_reap",
-        "timeout/recv_expiry",
-    ] {
-        assert!(
-            console1.contains(scenario),
-            "missing {scenario}:\n{console1}"
-        );
-    }
+    check_golden_row("failure_modes", &["classified", "diagnosed"]);
+}
+
+#[test]
+fn overload_matrix_bench_file_is_byte_identical_at_any_jobs_count() {
+    let exp = registry::find("overload_matrix").expect("registered");
     assert!(
-        console1.contains("7/7 scenarios classified as expected"),
-        "verdict line must confirm full classification:\n{console1}"
+        exp.deterministic(),
+        "overload_matrix must advertise determinism"
     );
-    // The deadlock diagnostics name the actual lock cycle.
+    check_golden_row(
+        "overload_matrix",
+        &[
+            "conservation",
+            "service_axis",
+            "service_curves",
+            "fault_bounds",
+        ],
+    );
+}
+
+#[test]
+fn lockfree_sweep_is_byte_identical_at_any_jobs_count() {
+    let exp = registry::find("lockfree_sweep").expect("registered");
     assert!(
-        console1.contains("t1 -(m1)-> t2") && console1.contains("t2 -(m0)-> t1"),
-        "deadlock cycle must be named edge by edge:\n{console1}"
+        exp.deterministic(),
+        "lockfree_sweep must advertise determinism"
     );
-    // The panic diagnostic carries the original payload; the hang
-    // diagnostic names the token holder and configured budget.
-    assert!(console1.contains("\"injected fault\""), "{console1}");
+    check_golden_row(
+        "lockfree_sweep",
+        &["no_false_positives", "no_false_negatives"],
+    );
+}
+
+#[test]
+fn asymmetry_ablation_is_byte_identical_at_any_jobs_count() {
+    let exp = registry::find("asymmetry_ablation").expect("registered");
     assert!(
-        console1.contains("t0 exceeded 25ms watchdog budget"),
-        "{console1}"
+        exp.deterministic(),
+        "asymmetry_ablation must advertise determinism"
     );
-    // The livelock diagnostic names the spinning thread set and the
-    // configured streak threshold.
-    assert!(
-        console1.contains("t1+t2 failed 400 consecutive CAS without progress"),
-        "{console1}"
+    check_golden_row(
+        "asymmetry_ablation",
+        &["read_only_control", "write_heavy_gap"],
     );
-    // Emulator-side containment after a deadlock with Quartz attached.
-    assert!(console1.contains("reaped=3 anomalies=1"), "{console1}");
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
+}
+
+#[test]
+fn memsim_throughput_bench_file_is_deterministic_modulo_timing() {
+    let exp = registry::find("memsim_throughput").expect("registered");
+    assert!(!exp.deterministic(), "host-timed experiments opt out");
+    check_golden_row(
+        "memsim_throughput",
+        &["l1_fast_path", "replay_equivalent", "replay_speedup"],
+    );
 }
 
 #[test]
 fn repeated_serial_runs_are_byte_identical() {
     let base = std::env::temp_dir().join("quartz_bench_golden_repeat");
-    let (c1, f1) = golden_run("ablation_pcommit", 1, &base.join("a"));
-    let (c2, f2) = golden_run("ablation_pcommit", 1, &base.join("b"));
-    assert_eq!(c1, c2);
-    assert_eq!(f1, f2);
+    let a = golden_run(&["ablation_pcommit"], 1, &base.join("a"));
+    let b = golden_run(&["ablation_pcommit"], 1, &base.join("b"));
+    assert_eq!(console_sections(&a.console), console_sections(&b.console));
+    assert_eq!(a.files, b.files);
 }
 
 #[test]
@@ -339,220 +454,6 @@ fn strip_timing_fields(json: &str) -> String {
 }
 
 #[test]
-fn kv_service_bench_file_is_byte_identical_at_any_jobs_count() {
-    // The open-loop service curves are pure virtual-time measurements,
-    // so unlike the host-timed benches the whole BENCH file — latency
-    // percentiles included — upholds the byte-identity contract.
-    let exp = registry::find("kv_service").expect("registered");
-    assert!(exp.deterministic(), "kv_service must advertise determinism");
-    let base = std::env::temp_dir().join("quartz_bench_golden_kv_service");
-    let (console1, files1) = golden_run("kv_service", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("kv_service", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_kv_service.json")
-        .expect("BENCH_kv_service.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
-    for needle in [
-        "\"schema\":2",
-        "\"bench\":\"kv_service\"",
-        "\"nvm_target\":\"optane_dcpmm\"",
-        "\"memory\":\"dram\"",
-        "\"memory\":\"optane\"",
-        "\"p999_ns\":",
-    ] {
-        assert!(bench.contains(needle), "missing {needle} in {bench}");
-    }
-    // No host-timed fields: the timing scrubber must be a no-op here.
-    assert_eq!(
-        strip_timing_fields(&bench),
-        bench,
-        "kv_service must not record host timing in its bench file"
-    );
-    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
-    assert!(
-        manifest.contains("\"benches\":[\"BENCH_kv_service.json\"]"),
-        "{manifest}"
-    );
-}
-
-#[test]
-fn overload_matrix_bench_file_is_byte_identical_at_any_jobs_count() {
-    // The overload matrix layers seeded service faults, retries with
-    // seeded backoff, and breaker state on top of the service scenario;
-    // every one of those decisions is a pure function of the seed, so
-    // the whole matrix — counters, goodput, percentiles — upholds the
-    // byte-identity contract.
-    let exp = registry::find("overload_matrix").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "overload_matrix must advertise determinism"
-    );
-    let base = std::env::temp_dir().join("quartz_bench_golden_overload");
-    let (console1, files1) = golden_run("overload_matrix", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("overload_matrix", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_overload.json")
-        .expect("BENCH_overload.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
-    for needle in [
-        "\"bench\":\"overload_matrix\"",
-        "\"mode\":\"unprotected\"",
-        "\"mode\":\"protected\"",
-        "\"fault\":\"slow_worker\"",
-        "\"fault\":\"stuck_worker\"",
-        "\"goodput_rps\":",
-        "\"conservation_ok\":true",
-        "\"fault_bounds\":",
-    ] {
-        assert!(bench.contains(needle), "missing {needle} in {bench}");
-    }
-    assert!(
-        !bench.contains("\"conservation_ok\":false"),
-        "every cell must conserve requests:\n{bench}"
-    );
-    assert_eq!(
-        strip_timing_fields(&bench),
-        bench,
-        "overload_matrix must not record host timing in its bench file"
-    );
-}
-
-#[test]
-fn lockfree_sweep_is_byte_identical_at_any_jobs_count() {
-    // The lock-free sweep replays recorded executions of the
-    // detectable stack and queue at derived crash points (winning
-    // CASes included); every quantity is virtual-time, so the console
-    // table, the JSON rows, and the whole BENCH file uphold the
-    // byte-identity contract.
-    let exp = registry::find("lockfree_sweep").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "lockfree_sweep must advertise determinism"
-    );
-    let base = std::env::temp_dir().join("quartz_bench_golden_lockfree");
-    let (console1, files1) = golden_run("lockfree_sweep", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("lockfree_sweep", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(
-        console1.contains("false_negatives=0 false_positives=0"),
-        "the sweep verdict line must report a clean checker:\n{console1}"
-    );
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_lockfree.json")
-        .expect("BENCH_lockfree.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
-    for needle in [
-        "\"schema\":1",
-        "\"bench\":\"lockfree_sweep\"",
-        "\"structure\":\"treiber_stack\"",
-        "\"structure\":\"ms_queue\"",
-        "\"variant\":\"missing_flush\"",
-        "\"variant\":\"lost_checkpoint\"",
-        "\"false_negatives\":0",
-        "\"false_positives\":0",
-    ] {
-        assert!(bench.contains(needle), "missing {needle} in {bench}");
-    }
-    // No host-timed fields: the timing scrubber must be a no-op here.
-    assert_eq!(
-        strip_timing_fields(&bench),
-        bench,
-        "lockfree_sweep must not record host timing in its bench file"
-    );
-    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
-    assert!(
-        manifest.contains("\"benches\":[\"BENCH_lockfree.json\"]"),
-        "{manifest}"
-    );
-}
-
-#[test]
-fn asymmetry_ablation_is_byte_identical_at_any_jobs_count() {
-    // The asymmetry ablation is pure virtual time (jitter off, perfect
-    // counters, fixed seed), so the console table and the whole
-    // BENCH_asymmetry.json — deltas and write terms included — uphold
-    // the byte-identity contract.
-    let exp = registry::find("asymmetry_ablation").expect("registered");
-    assert!(
-        exp.deterministic(),
-        "asymmetry_ablation must advertise determinism"
-    );
-    let base = std::env::temp_dir().join("quartz_bench_golden_asymmetry");
-    let (console1, files1) = golden_run("asymmetry_ablation", 1, &base.join("j1"));
-    let (console8, files8) = golden_run("asymmetry_ablation", 8, &base.join("j8"));
-    assert_eq!(console1, console8);
-    assert!(!files1.is_empty());
-    assert_eq!(files1.len(), files8.len());
-    for ((n1, b1), (n8, b8)) in files1.iter().zip(&files8) {
-        assert_eq!(n1, n8);
-        assert_eq!(b1, b8, "{n1} differs between --jobs 1 and --jobs 8");
-    }
-    let (_, bytes) = files1
-        .iter()
-        .find(|(n, _)| n == "BENCH_asymmetry.json")
-        .expect("BENCH_asymmetry.json emitted");
-    let bench = String::from_utf8(bytes.clone()).unwrap();
-    for needle in [
-        "\"schema\":1",
-        "\"bench\":\"asymmetry_ablation\"",
-        "\"kind\":\"read_only\"",
-        "\"kind\":\"write_heavy\"",
-        "\"write_term_ns_asym\":",
-    ] {
-        assert!(bench.contains(needle), "missing {needle} in {bench}");
-    }
-    // The read-only control cell accrues exactly zero write term even
-    // under the asymmetric model: no stores, nothing to price.
-    assert!(
-        bench.contains("\"kind\":\"read_only\",\"sym_ns\""),
-        "control cell present: {bench}"
-    );
-    let control = bench
-        .split("\"kind\":\"read_only\"")
-        .nth(1)
-        .expect("control cell");
-    let control = &control[..control.find('}').unwrap()];
-    assert!(
-        control.contains("\"write_term_ns_asym\":0"),
-        "control cell write term must be exactly zero: {control}"
-    );
-    // No host-timed fields: the timing scrubber must be a no-op here.
-    assert_eq!(
-        strip_timing_fields(&bench),
-        bench,
-        "asymmetry_ablation must not record host timing in its bench file"
-    );
-    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
-    assert!(
-        manifest.contains("\"benches\":[\"BENCH_asymmetry.json\"]"),
-        "{manifest}"
-    );
-}
-
-#[test]
 fn cli_filter_splits_commas_before_selection() {
     // --inject-fail validates its name against the selected set before
     // running anything, so it doubles as a cheap probe of what a
@@ -600,48 +501,4 @@ fn cli_filter_splits_commas_before_selection() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("ablation_pcommit"), "{stdout}");
     assert!(stdout.contains("failure_modes QUARANTINED"), "{stdout}");
-}
-
-#[test]
-fn memsim_throughput_bench_file_is_deterministic_modulo_timing() {
-    // The experiment is host-timed, so it opts out of the byte-identity
-    // contract — but everything in BENCH_memsim.json except the timing
-    // numbers (access counts, mix names, sweep configs, trace event
-    // count, the replay-equivalence flag) must still be identical at
-    // any --jobs count.
-    let exp = registry::find("memsim_throughput").expect("registered");
-    assert!(!exp.deterministic(), "host-timed experiments opt out");
-    let base = std::env::temp_dir().join("quartz_bench_golden_memsim");
-    let (_, files1) = golden_run("memsim_throughput", 1, &base.join("j1"));
-    let (_, files8) = golden_run("memsim_throughput", 8, &base.join("j8"));
-    let bench_of = |files: &[(String, Vec<u8>)]| -> String {
-        let (_, bytes) = files
-            .iter()
-            .find(|(n, _)| n == "BENCH_memsim.json")
-            .expect("BENCH_memsim.json emitted");
-        String::from_utf8(bytes.clone()).unwrap()
-    };
-    let (b1, b8) = (bench_of(&files1), bench_of(&files8));
-    for b in [&b1, &b8] {
-        for needle in [
-            "\"schema\":1",
-            "\"mix\":\"l1_hit\"",
-            "\"mix\":\"l3_miss\"",
-            "\"mix\":\"stream\"",
-            "\"equivalent\":true",
-        ] {
-            assert!(b.contains(needle), "missing {needle} in {b}");
-        }
-    }
-    assert_eq!(
-        strip_timing_fields(&b1),
-        strip_timing_fields(&b8),
-        "non-timing BENCH fields must not depend on --jobs"
-    );
-    // The manifest must index the bench file.
-    let manifest = std::fs::read_to_string(base.join("j8").join("manifest.json")).unwrap();
-    assert!(
-        manifest.contains("\"benches\":[\"BENCH_memsim.json\"]"),
-        "{manifest}"
-    );
 }
