@@ -45,6 +45,9 @@ pub struct Cache {
     /// Monotonic recency stamp per way slot; larger = more recent.
     lru: Vec<u64>,
     tick: u64,
+    /// Valid lines held, kept in step by `fill` and the invalidations
+    /// so [`Cache::is_empty`] needs no scan.
+    len: usize,
 }
 
 impl Cache {
@@ -59,6 +62,7 @@ impl Cache {
             dirty: vec![false; slots],
             lru: vec![0; slots],
             tick: 0,
+            len: 0,
         }
     }
 
@@ -142,6 +146,7 @@ impl Cache {
             }
         }
         let evicted = if self.tags[victim] == INVALID_LINE {
+            self.len += 1;
             None
         } else {
             Some(Evicted {
@@ -164,6 +169,7 @@ impl Cache {
                 self.tags[slot] = INVALID_LINE;
                 self.dirty[slot] = false;
                 self.lru[slot] = 0;
+                self.len -= 1;
                 Some(dirty)
             }
             None => None,
@@ -177,9 +183,22 @@ impl Cache {
         self.dirty.fill(false);
         self.lru.fill(0);
         self.tick = 0;
+        self.len = 0;
     }
 
-    /// Number of valid lines (for tests).
+    /// Number of valid lines, from the running count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the cache holds no line. Invalidating any line in an
+    /// empty cache is a no-op, so coherence actions skip such caches.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of valid lines, recounted from the tag array (for tests:
+    /// the reference for [`Cache::len`]).
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID_LINE).count()
     }

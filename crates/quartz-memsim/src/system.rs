@@ -705,9 +705,12 @@ impl MemorySystem {
         }
         // Write-invalidate: every other core's copy (shared or
         // modified) of this line is invalidated before we take it
-        // Modified.
+        // Modified. A core whose L1 and L2 are both empty holds no copy
+        // (and invalidating a missing line changes nothing, not even
+        // LRU state), so only occupied private caches are probed: the
+        // loop's cost follows the cores in use, not the machine's size.
         for c in 0..g.l1.len() {
-            if c != core {
+            if c != core && !(g.l1[c].is_empty() && g.l2[c].is_empty()) {
                 g.l1[c].invalidate(addr);
                 g.l2[c].invalidate(addr);
             }
@@ -770,7 +773,11 @@ impl MemorySystem {
             g.stats.tlb_misses += 1;
             cost += Duration::from_ns_f64(g.tlbs[core].walk_ns());
         }
-        // NT stores invalidate any cached copy (in every core).
+        // NT stores invalidate the modified owner's copy, the issuing
+        // core's private copy and the issuing socket's L3 copy. Clean
+        // copies in other cores' L1/L2 and in the other socket's L3
+        // survive (a known deviation from hardware, which invalidates
+        // every copy; DESIGN.md §7).
         if let Some(owner) = g.dirty_owner.remove(&addr.line()) {
             g.l1[owner].invalidate(addr);
             g.l2[owner].invalidate(addr);
@@ -882,7 +889,11 @@ impl MemorySystem {
 
     fn invalidate_line(&self, g: &mut Inner, core: usize, addr: Addr) -> bool {
         let mut dirty = false;
-        // clflush is architecturally global: snoop out any modified copy.
+        // Architecturally clflush invalidates the line everywhere. Here
+        // it reaches the modified owner's copy, the issuing core's
+        // private copy and the issuing socket's L3 copy; clean copies in
+        // other cores' L1/L2 and in the other socket's L3 survive (a
+        // known deviation, DESIGN.md §7).
         if let Some(owner) = g.dirty_owner.remove(&addr.line()) {
             if let Some(d) = g.l1[owner].invalidate(addr) {
                 dirty |= d;
@@ -1308,18 +1319,36 @@ mod coherence_tests {
 
     #[test]
     fn store_invalidates_other_cores_copies() {
-        let m = mem();
-        let a = m.alloc(NodeId(0), 4096).unwrap();
-        // Core 1 caches the line.
-        m.load(1, a, SimTime::ZERO);
-        assert_eq!(m.load(1, a, SimTime::from_ns(200)).served, ServiceLevel::L1);
-        // Core 0 writes it: core 1's private copy must be gone. Its next
-        // read is a HITM snoop from core 0's modified line.
-        m.store(0, a, SimTime::from_ns(400));
-        let r = m.load(1, a, SimTime::from_ns(600));
-        assert_eq!(r.served, ServiceLevel::SnoopHitm);
-        // After the transfer the line is shared: core 1 hits privately.
-        assert_eq!(m.load(1, a, SimTime::from_ns(800)).served, ServiceLevel::L1);
+        // (case, whether core 1's copy is in its L1, in its L2) before
+        // core 0's store.
+        for (case, in_l1, in_l2) in [("l1_and_l2", true, true), ("l2_only", false, true)] {
+            let m = mem();
+            // Line `a` plus, in the L2-only case, 8 more lines in its L1
+            // set (stride 64 sets × 64 B) that push the clean `a` out of
+            // the 8-way L1 while the 8-way L2 spreads them over sets.
+            let a = m.alloc(NodeId(0), 16 * 4096).unwrap();
+            let mut now = SimTime::ZERO;
+            m.load(1, a, now);
+            if !in_l1 {
+                for k in 1..=8 {
+                    now += Duration::from_ns(200);
+                    m.load(1, a.offset_by(k * 4096), now);
+                }
+            }
+            {
+                let g = m.inner.lock();
+                assert_eq!(g.l1[1].contains(a), in_l1, "{case}: L1 copy");
+                assert_eq!(g.l2[1].contains(a), in_l2, "{case}: L2 copy");
+            }
+            // Core 0 writes it: core 1's private copy must be gone. Its
+            // next read is a HITM snoop from core 0's modified line.
+            m.store(0, a, now + Duration::from_ns(200));
+            let r = m.load(1, a, now + Duration::from_ns(400));
+            assert_eq!(r.served, ServiceLevel::SnoopHitm, "{case}");
+            // After the transfer the line is shared: core 1 hits privately.
+            let r = m.load(1, a, now + Duration::from_ns(600));
+            assert_eq!(r.served, ServiceLevel::L1, "{case}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ use quartz_platform::{CoreId, NodeId, Platform};
 use crate::atomics::{spurious_roll, AtomicEvent, AtomicOp, AtomicPhase, CasOutcome};
 use crate::channel::{RecvTimeoutError, SendTimeoutError, SimChannel, TryRecvError, TrySendError};
 use crate::engine::{
-    close_channel, expire_timed_wait, new_atomic, new_barrier, new_channel, new_cond, new_mutex,
-    next_timed_wait, register_receiver, register_sender, schedule_next, spawn_thread,
+    close_channel, expire_timed_wait, hand_off, new_atomic, new_barrier, new_channel, new_cond,
+    new_mutex, next_timed_wait, register_receiver, register_sender, schedule_next, spawn_thread,
     wake_one_blocked_sender, wake_one_receiver, EngineShared, SchedState, ShutdownSignal, Status,
     ThreadId, TimedWait, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
 };
@@ -132,13 +132,21 @@ impl ThreadCtx {
         self.next_timer = next_timer;
     }
 
-    /// Parks this thread until the scheduler hands control back.
-    fn park(&mut self, st: MutexGuard<'_, SchedState>) {
-        drop(st);
+    /// Hands the token to `next` (see [`hand_off`]) and parks this
+    /// thread until the scheduler hands control back.
+    fn park(&mut self, st: MutexGuard<'_, SchedState>, next: Option<usize>) {
+        hand_off(&self.shared, st, next);
         if self.permit_rx.recv().is_err() {
             panic_any(ShutdownSignal);
         }
         self.resume_bookkeeping();
+    }
+
+    /// Blocks this thread: hands the token to the runnable thread
+    /// [`schedule_next`] picks and parks until it is woken.
+    fn block(&mut self, mut st: MutexGuard<'_, SchedState>) {
+        let next = schedule_next(&self.shared, &mut st);
+        self.park(st, next);
     }
 
     /// The per-operation boundary: fire due timers, deliver signals,
@@ -234,24 +242,7 @@ impl ThreadCtx {
                 // We are (still) the minimum; extend the lookahead.
                 self.deadline = c + shared.quantum;
             }
-            Some((i, _)) => {
-                if st.threads[i].permit.send(()).is_err() {
-                    // Host-side engine fault (a runnable thread's
-                    // permit channel closed): contain it as a typed
-                    // failure and unwind ourselves instead of
-                    // panicking with the scheduler lock held.
-                    crate::engine::fail(
-                        &shared,
-                        &mut st,
-                        crate::failure::SimFailure::SchedulerLost {
-                            detail: format!("permit channel to runnable thread t{i} closed"),
-                        },
-                    );
-                    drop(st);
-                    panic_any(ShutdownSignal);
-                }
-                self.park(st);
-            }
+            Some((i, _)) => self.park(st, Some(i)),
         }
     }
 
@@ -507,8 +498,7 @@ impl ThreadCtx {
         st.threads[thread.0].joiners.push(self.id.0);
         st.threads[self.id.0].status = Status::Blocked;
         st.threads[self.id.0].clock = self.clock;
-        schedule_next(&shared, &mut st);
-        self.park(st);
+        self.block(st);
     }
 
     // ------------------------------------------------------------------
@@ -559,8 +549,7 @@ impl ThreadCtx {
             rec.waiting.push(self.id.0);
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
             false
         } else {
             // Last arriver releases the generation: every waiter resumes
@@ -607,8 +596,7 @@ impl ThreadCtx {
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
             let wait_start = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
             // On resume the releasing thread transferred ownership to us.
             if self.pending.load(Ordering::Relaxed) && !self.in_hook {
                 // A POSIX signal interrupts a blocked pthread_mutex_lock:
@@ -700,8 +688,7 @@ impl ThreadCtx {
         st.threads[self.id.0].status = Status::Blocked;
         st.threads[self.id.0].clock = self.clock;
         let wait_start = self.clock;
-        schedule_next(&shared, &mut st);
-        self.park(st);
+        self.block(st);
         // On resume we own the mutex again. Signals delivered during the
         // wait ran concurrently with it (see mutex_lock).
         self.deliver_signal_after_wait(wait_start);
@@ -1035,8 +1022,7 @@ impl ThreadCtx {
             rec.blocked_senders.push_back(self.id.0);
             st.threads[self.id.0].status = Status::Blocked;
             st.threads[self.id.0].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
             // Woken by a drained slot, a newly parked rendezvous
             // receiver, or a close. Re-check: with multiple producers
             // another sender may have claimed the slot first.
@@ -1130,8 +1116,7 @@ impl ThreadCtx {
             });
             st.threads[me].status = Status::Blocked;
             st.threads[me].clock = self.clock;
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
         }
     }
 
@@ -1161,8 +1146,7 @@ impl ThreadCtx {
             // Rendezvous pairing: our parking is the event a capacity-0
             // blocked sender waits for.
             self.wake_sender_after_pop(&mut st, ch.id().0);
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
             // Woken by a send, an injection, or a close. Re-check: with
             // multiple consumers another receiver may have drained the
             // payload first, in which case we re-park.
@@ -1225,8 +1209,7 @@ impl ThreadCtx {
             st.threads[me].status = Status::Blocked;
             st.threads[me].clock = self.clock;
             self.wake_sender_after_pop(&mut st, ch.id().0);
-            schedule_next(&shared, &mut st);
-            self.park(st);
+            self.block(st);
         }
     }
 

@@ -7,7 +7,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use quartz_memsim::MemorySystem;
 use quartz_platform::time::{Duration, SimTime};
 use quartz_platform::Platform;
@@ -506,7 +506,8 @@ impl Engine {
         // Kick the scheduler.
         {
             let mut st = self.shared.state.lock();
-            schedule_next(&self.shared, &mut st);
+            let next = schedule_next(&self.shared, &mut st);
+            hand_off(&self.shared, st, next);
         }
         let watchdog = *self.shared.watchdog.lock();
         let hung = self.wait_done(&done_rx, watchdog);
@@ -761,14 +762,17 @@ pub(crate) fn finish_thread(shared: &Arc<EngineShared>, id: usize, clock: SimTim
         t.clock = t.clock.max(floor);
         t.status = Status::Runnable;
     }
-    schedule_next(shared, &mut st);
+    let next = schedule_next(shared, &mut st);
+    hand_off(shared, st, next);
 }
 
-/// Picks and wakes the runnable thread with the minimum clock. Detects
-/// completion and deadlock.
-pub(crate) fn schedule_next(shared: &Arc<EngineShared>, st: &mut SchedState) {
+/// Picks the runnable thread with the minimum clock, which the caller
+/// wakes with [`hand_off`]. Detects completion and deadlock; returns
+/// `None` when there is nobody to wake (the run is complete, failed or
+/// shutting down).
+pub(crate) fn schedule_next(shared: &EngineShared, st: &mut SchedState) -> Option<usize> {
     if st.shutdown {
-        return;
+        return None;
     }
     let next = st
         .threads
@@ -778,25 +782,12 @@ pub(crate) fn schedule_next(shared: &Arc<EngineShared>, st: &mut SchedState) {
         .min_by_key(|(i, t)| (t.clock, *i))
         .map(|(i, _)| i);
     match next {
-        Some(i) => {
-            // A send can only fail if the target already exited during
-            // shutdown, which `st.shutdown` excludes — observing one is
-            // a host-side engine fault, reported structurally so the
-            // root cause is not a panic inside the scheduler.
-            if st.threads[i].permit.send(()).is_err() {
-                fail(
-                    shared,
-                    st,
-                    SimFailure::SchedulerLost {
-                        detail: format!("permit channel to runnable thread t{i} closed"),
-                    },
-                );
-            }
-        }
+        Some(i) => Some(i),
         None if st.live == 0 => {
             if let Some(tx) = st.done_tx.take() {
                 let _ = tx.send(());
             }
+            None
         }
         None => {
             // Event-driven advance: with every thread blocked, an
@@ -805,12 +796,47 @@ pub(crate) fn schedule_next(shared: &Arc<EngineShared>, st: &mut SchedState) {
             // its deadline. Only if neither can make progress is this a
             // genuine deadlock.
             if advance_sources(st) {
-                schedule_next(shared, st);
+                schedule_next(shared, st)
             } else {
                 let report = deadlock_report(st);
                 fail(shared, st, SimFailure::Deadlock(report));
+                None
             }
         }
+    }
+}
+
+/// Releases the scheduler lock, then sends the permit to `next`.
+///
+/// Waking the thread only after the lock is dropped means it never
+/// resumes straight into a held lock: its first act, re-reading its
+/// clock under that lock, would otherwise block until the waker parks,
+/// costing each hand-off an extra futex wait/wake and two context
+/// switches. The decision was made under the lock and nothing in the
+/// simulation runs in between (the token holder is this thread), so
+/// only the host instant of the wake moves.
+///
+/// A send can only fail if the target already exited during shutdown.
+/// `schedule_next` picks no thread once shutdown is set, and a shutdown
+/// racing this send (the hang watchdog) has already recorded its own
+/// failure, which `fail` keeps. Any other failed send is a host-side
+/// engine fault, recorded as [`SimFailure::SchedulerLost`] so the root
+/// cause is not a panic inside the scheduler.
+pub(crate) fn hand_off(shared: &EngineShared, st: MutexGuard<'_, SchedState>, next: Option<usize>) {
+    let Some(i) = next else {
+        return;
+    };
+    let permit = st.threads[i].permit.clone();
+    drop(st);
+    if permit.send(()).is_err() {
+        let mut st = shared.state.lock();
+        fail(
+            shared,
+            &mut st,
+            SimFailure::SchedulerLost {
+                detail: format!("permit channel to runnable thread t{i} closed"),
+            },
+        );
     }
 }
 

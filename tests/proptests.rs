@@ -92,6 +92,34 @@ proptest! {
         }
     }
 
+    #[test]
+    fn cache_len_matches_occupancy_recount(
+        ways in 1usize..6,
+        sets_log2 in 0u32..4,
+        ops in proptest::collection::vec((0u64..100, 0u64..64, proptest::bool::ANY), 1..300),
+    ) {
+        // The running line count behind `is_empty` (which lets a store's
+        // write-invalidate skip idle cores) must equal a full recount
+        // after any mix of fills (new, refreshed or evicting),
+        // invalidations (hit or miss) and whole-cache invalidations.
+        let sets = 1u64 << sets_log2;
+        let mut cache = Cache::new(CacheGeometry::new(sets * ways as u64 * 64, ways));
+        for (kind, lineno, dirty) in ops {
+            let a = Addr::on_node(NodeId(0), lineno * 64);
+            match kind {
+                0..=54 => {
+                    cache.fill(a, dirty);
+                }
+                55..=97 => {
+                    cache.invalidate(a);
+                }
+                _ => cache.invalidate_all(),
+            }
+            prop_assert_eq!(cache.len(), cache.occupancy());
+            prop_assert_eq!(cache.is_empty(), cache.occupancy() == 0);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Allocator invariants.
     // ------------------------------------------------------------------
