@@ -14,16 +14,14 @@ use quartz_platform::{CoreId, NodeId, Platform};
 use crate::atomics::{spurious_roll, AtomicEvent, AtomicOp, AtomicPhase, CasOutcome};
 use crate::channel::{RecvTimeoutError, SendTimeoutError, SimChannel, TryRecvError, TrySendError};
 use crate::engine::{
-    close_channel, expire_timed_wait, hand_off, new_atomic, new_barrier, new_channel, new_cond,
-    new_mutex, next_timed_wait, register_receiver, register_sender, schedule_next, spawn_thread,
-    wake_one_blocked_sender, wake_one_receiver, EngineShared, SchedState, ShutdownSignal, Status,
-    ThreadId, TimedWait, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
+    apply_event, close_channel, hand_off, new_atomic, new_barrier, new_channel, new_cond,
+    new_mutex, register_receiver, register_sender, schedule_next, spawn_thread, wake_one,
+    wake_thread, EngineShared, Parked, SchedState, ShutdownSignal, Status, ThreadId, TimedWait,
+    FAR_FUTURE, HANDOFF_NS, LOCK_OP_NS, SPAWN_NS,
 };
 use crate::failure::SimFailure;
+use crate::hooks::Hooks;
 use crate::{AtomicId, BarrierId, CondId, MutexId, SimAtomicPtr, SimAtomicU64};
-
-/// "Infinitely" far in the future (no yield deadline).
-const FAR_FUTURE: SimTime = SimTime::from_ps(u64::MAX / 4);
 
 /// Handle through which a simulated thread performs every operation.
 ///
@@ -127,9 +125,24 @@ impl ThreadCtx {
         shared.running.store(self.id.0, Ordering::Release);
         shared.progress.fetch_add(1, Ordering::AcqRel);
         self.clock = st.threads[self.id.0].clock;
-        let (deadline, next_timer) = compute_caches(&st, self.id.0, self.shared.quantum);
-        self.deadline = deadline;
-        self.next_timer = next_timer;
+        self.refresh_caches(&st);
+    }
+
+    /// Recomputes the yield deadline (the minimum clock of any other
+    /// runnable thread plus the quantum) and the next pending event.
+    fn refresh_caches(&mut self, st: &SchedState) {
+        self.deadline = st
+            .min_runnable(Some(self.id.0))
+            .map_or(FAR_FUTURE, |(_, c)| c + self.shared.quantum);
+        self.next_timer = next_event_at(st);
+    }
+
+    /// Bounds the lookahead so a thread woken at `min_wake` (if any)
+    /// runs promptly.
+    fn trim_deadline(&mut self, min_wake: Option<SimTime>) {
+        if let Some(w) = min_wake {
+            self.deadline = self.deadline.min(w + self.shared.quantum);
+        }
     }
 
     /// Hands the token to `next` (see [`hand_off`]) and parks this
@@ -142,9 +155,13 @@ impl ThreadCtx {
         self.resume_bookkeeping();
     }
 
-    /// Blocks this thread: hands the token to the runnable thread
-    /// [`schedule_next`] picks and parks until it is woken.
+    /// Blocks this thread: marks it `Blocked` at its clock, hands the
+    /// token to the runnable thread [`schedule_next`] picks, and parks
+    /// until it is woken.
     fn block(&mut self, mut st: MutexGuard<'_, SchedState>) {
+        let me = &mut st.threads[self.id.0];
+        me.status = Status::Blocked;
+        me.clock = self.clock;
         let next = schedule_next(&self.shared, &mut st);
         self.park(st, next);
     }
@@ -163,81 +180,48 @@ impl ThreadCtx {
         }
         if self.pending.load(Ordering::Relaxed) && !self.in_hook {
             self.pending.store(false, Ordering::Relaxed);
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_signal(self);
-            self.in_hook = false;
+            self.call_hook(|h, ctx| h.on_signal(ctx));
         }
         if self.clock > self.deadline {
             self.yield_handoff();
         }
     }
 
+    /// Runs `f` on the installed hooks, unless this thread is already
+    /// inside a hook (hook operations do not re-enter hooks).
+    fn call_hook(&mut self, f: impl FnOnce(&dyn Hooks, &mut ThreadCtx)) {
+        if self.in_hook {
+            return;
+        }
+        let hooks = self.shared.hooks.read().clone();
+        self.in_hook = true;
+        f(&*hooks, self);
+        self.in_hook = false;
+    }
+
     fn fire_due_timers(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
-        loop {
-            // Causality bound: fire events due up to our clock, but
-            // never past the lookahead deadline. Once a fire wakes a
-            // thread whose clock trails ours (trimming `deadline`),
-            // later events must wait — the woken thread may change the
-            // state those events observe (e.g. an admission gauge), so
-            // it has to run first. The remaining dues fire either at
-            // its op boundaries or when we resume.
-            let horizon = self.clock.min(self.deadline);
-            let due_timer = st
-                .timers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.next_fire <= horizon)
-                .min_by_key(|(i, t)| (t.next_fire, *i))
-                .map(|(i, t)| (t.next_fire, i));
-            let due_wait = next_timed_wait(&st).filter(|(dl, _)| *dl <= horizon);
-            // Interleave timer fires and timed-wait expiries in virtual
-            // time, deadline-first on ties: a payload landing exactly at
-            // a receiver's deadline arrives too late (POSIX timed-wait
-            // semantics), so the expiry must be processed first.
-            match (due_wait, due_timer) {
-                (Some((dl, thread)), timer) if timer.is_none_or(|(at, _)| dl <= at) => {
-                    let mut min_wake = None;
-                    expire_timed_wait(&mut st, thread, &mut min_wake);
-                    if let Some(w) = min_wake {
-                        self.deadline = self.deadline.min(w + shared.quantum);
-                    }
-                }
-                (_, Some((_, idx))) => {
-                    if let Some(woken) = crate::engine::fire_timer(&mut st, idx) {
-                        // An injection woke a parked channel receiver
-                        // (possibly at a clock below ours): bound our
-                        // lookahead so we yield to it promptly.
-                        self.deadline = self.deadline.min(woken + shared.quantum);
-                    }
-                }
-                // `(Some(_), None)` always passes the first arm's
-                // guard, so only `(None, None)` reaches here.
-                _ => break,
-            }
+        // Causality bound: fire events due up to our clock, but never
+        // past the lookahead deadline. Once an event wakes a thread
+        // whose clock trails ours (trimming `deadline`), later events
+        // must wait — the woken thread may change the state those
+        // events observe (e.g. an admission gauge), so it has to run
+        // first. The remaining dues fire either at its op boundaries or
+        // when we resume.
+        while let Some((_, ev)) = st.next_event(self.clock.min(self.deadline), false) {
+            let woken = apply_event(&mut st, ev);
+            self.trim_deadline(woken);
         }
-        self.next_timer = next_event_cache(&st);
+        self.next_timer = next_event_at(&st);
     }
 
     fn yield_handoff(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
         st.threads[self.id.0].clock = self.clock;
-        let min_other = st
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| *i != self.id.0 && t.status == Status::Runnable)
-            .min_by_key(|(i, t)| (t.clock, *i))
-            .map(|(i, t)| (i, t.clock));
-        match min_other {
-            None => {
-                let (deadline, next_timer) = compute_caches(&st, self.id.0, shared.quantum);
-                self.deadline = deadline;
-                self.next_timer = next_timer;
-            }
+        match st.min_runnable(Some(self.id.0)) {
+            None => self.refresh_caches(&st),
             Some((_, c)) if c >= self.clock => {
                 // We are (still) the minimum; extend the lookahead.
                 self.deadline = c + shared.quantum;
@@ -253,17 +237,11 @@ impl ThreadCtx {
     }
 
     pub(crate) fn dispatch_thread_start(&mut self) {
-        let hooks = self.shared.hooks.read().clone();
-        self.in_hook = true;
-        hooks.on_thread_start(self);
-        self.in_hook = false;
+        self.call_hook(|h, ctx| h.on_thread_start(ctx));
     }
 
     pub(crate) fn dispatch_thread_exit(&mut self) {
-        let hooks = self.shared.hooks.read().clone();
-        self.in_hook = true;
-        hooks.on_thread_exit(self);
-        self.in_hook = false;
+        self.call_hook(|h, ctx| h.on_thread_exit(ctx));
     }
 
     // ------------------------------------------------------------------
@@ -282,10 +260,14 @@ impl ThreadCtx {
     /// effective frequency.
     pub fn compute_cycles(&mut self, cycles: u64) {
         self.op_boundary();
-        let p = self.platform();
+        self.charge_cycles(&self.platform(), cycles);
+    }
+
+    /// Advances the clock by `cycles` at the current DVFS frequency,
+    /// without boundary processing.
+    fn charge_cycles(&mut self, p: &Platform, cycles: u64) {
         let mult = p.dvfs().multiplier(self.clock);
-        let nominal = p.frequency().cycles_to_duration(cycles);
-        self.clock += Duration::from_ns_f64(nominal.as_ns_f64() / mult);
+        self.clock += Duration::from_ns_f64(p.cycles(cycles).as_ns_f64() / mult);
     }
 
     /// Spins for exactly `d` of wall time — the TSC-based delay-injection
@@ -303,9 +285,7 @@ impl ThreadCtx {
     pub fn rdtscp(&mut self) -> u64 {
         self.op_boundary();
         let p = self.platform();
-        let cost = p.op_costs().rdtscp_cycles;
-        let mult = p.dvfs().multiplier(self.clock);
-        self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
+        self.charge_cycles(&p, p.op_costs().rdtscp_cycles);
         p.read_tsc(CoreId(self.core), self.clock)
     }
 
@@ -318,9 +298,7 @@ impl ThreadCtx {
     pub fn rdpmc(&mut self, slot: usize) -> Result<u64, PlatformError> {
         self.op_boundary();
         let p = self.platform();
-        let cost = p.op_costs().rdpmc_cycles;
-        let mult = p.dvfs().multiplier(self.clock);
-        self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
+        self.charge_cycles(&p, p.op_costs().rdpmc_cycles);
         p.pmu().rdpmc(CoreId(self.core), slot)
     }
 
@@ -333,9 +311,7 @@ impl ThreadCtx {
     pub fn rdpmc_papi(&mut self, slot: usize) -> Result<u64, PlatformError> {
         self.op_boundary();
         let p = self.platform();
-        let cost = p.op_costs().papi_read_cycles;
-        let mult = p.dvfs().multiplier(self.clock);
-        self.clock += Duration::from_ns_f64(p.cycles(cost).as_ns_f64() / mult);
+        self.charge_cycles(&p, p.op_costs().papi_read_cycles);
         p.pmu().rdpmc(CoreId(self.core), slot)
     }
 
@@ -464,13 +440,7 @@ impl ThreadCtx {
     where
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
-        self.op_boundary();
-        self.clock += Duration::from_ns(SPAWN_NS);
-        let id = spawn_thread(&self.shared, None, self.clock, body);
-        // The child is runnable at our clock: bound our lookahead so we
-        // do not race past its first operations.
-        self.deadline = self.deadline.min(self.clock + self.shared.quantum);
-        id
+        self.spawn_at(None, body)
     }
 
     /// Spawns a simulated thread pinned to `core`.
@@ -478,10 +448,19 @@ impl ThreadCtx {
     where
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
+        self.spawn_at(Some(core), body)
+    }
+
+    fn spawn_at<F>(&mut self, core: Option<usize>, body: F) -> ThreadId
+    where
+        F: FnOnce(&mut ThreadCtx) + Send + 'static,
+    {
         self.op_boundary();
         self.clock += Duration::from_ns(SPAWN_NS);
-        let id = spawn_thread(&self.shared, Some(core), self.clock, body);
-        self.deadline = self.deadline.min(self.clock + self.shared.quantum);
+        let id = spawn_thread(&self.shared, core, self.clock, body);
+        // The child is runnable at our clock: bound our lookahead so we
+        // do not race past its first operations.
+        self.trim_deadline(Some(self.clock));
         id
     }
 
@@ -496,8 +475,6 @@ impl ThreadCtx {
             return;
         }
         st.threads[thread.0].joiners.push(self.id.0);
-        st.threads[self.id.0].status = Status::Blocked;
-        st.threads[self.id.0].clock = self.clock;
         self.block(st);
     }
 
@@ -530,12 +507,7 @@ impl ThreadCtx {
     /// the thread that released the generation (the "leader").
     pub fn barrier_wait(&mut self, b: BarrierId) -> bool {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_barrier(self);
-            self.in_hook = false;
-        }
+        self.call_hook(|h, ctx| h.before_barrier(ctx));
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
         let shared = Arc::clone(&self.shared);
@@ -547,21 +519,17 @@ impl ThreadCtx {
         );
         if rec.waiting.len() + 1 < rec.parties {
             rec.waiting.push(self.id.0);
-            st.threads[self.id.0].status = Status::Blocked;
-            st.threads[self.id.0].clock = self.clock;
             self.block(st);
             false
         } else {
             // Last arriver releases the generation: every waiter resumes
-            // no earlier than the latest arrival.
+            // no earlier than the latest arrival. Our lookahead is bound
+            // by that floor, not by the waiters' own clocks.
             let waiters = std::mem::take(&mut st.barriers[b.0].waiting);
-            let floor = self.clock + Duration::from_ns(HANDOFF_NS);
             for t in waiters {
-                let rec = &mut st.threads[t];
-                rec.clock = rec.clock.max(floor);
-                rec.status = Status::Runnable;
+                wake_thread(&mut st, t, self.clock, &mut None);
             }
-            self.deadline = self.deadline.min(floor + shared.quantum);
+            self.trim_deadline(Some(self.clock + Duration::from_ns(HANDOFF_NS)));
             true
         }
     }
@@ -573,12 +541,7 @@ impl ThreadCtx {
     /// Panics if this thread already owns the mutex.
     pub fn mutex_lock(&mut self, m: MutexId) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_mutex_lock(self);
-            self.in_hook = false;
-        }
+        self.call_hook(|h, ctx| h.before_mutex_lock(ctx));
         // The hook may have spun (injected delay): let lower-clock
         // threads catch up before we contend for the lock.
         self.op_boundary();
@@ -593,8 +556,6 @@ impl ThreadCtx {
                 return;
             }
             rec.waiters.push_back(self.id.0);
-            st.threads[self.id.0].status = Status::Blocked;
-            st.threads[self.id.0].clock = self.clock;
             let wait_start = self.clock;
             self.block(st);
             // On resume the releasing thread transferred ownership to us.
@@ -621,10 +582,7 @@ impl ThreadCtx {
         if self.pending.load(Ordering::Relaxed) && !self.in_hook {
             self.pending.store(false, Ordering::Relaxed);
             self.spin_credit = self.clock.saturating_duration_since(wait_start);
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_signal(self);
-            self.in_hook = false;
+            self.call_hook(|h, ctx| h.on_signal(ctx));
             self.spin_credit = Duration::ZERO;
         }
     }
@@ -638,12 +596,7 @@ impl ThreadCtx {
     /// Panics if this thread does not own the mutex.
     pub fn mutex_unlock(&mut self, m: MutexId) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_mutex_unlock(self);
-            self.in_hook = false;
-        }
+        self.call_hook(|h, ctx| h.before_mutex_unlock(ctx));
         // The hook may have spun far ahead (injected delay): give lower-
         // clock threads the chance to reach the lock queue before the
         // release, preserving virtual-time causality.
@@ -659,11 +612,9 @@ impl ThreadCtx {
         assert_eq!(rec.owner, Some(self.id.0), "unlock of unowned mutex");
         if let Some(next) = rec.waiters.pop_front() {
             rec.owner = Some(next);
-            let floor = self.clock + Duration::from_ns(HANDOFF_NS);
-            let t = &mut st.threads[next];
-            t.clock = t.clock.max(floor);
-            t.status = Status::Runnable;
-            self.deadline = self.deadline.min(t.clock + self.shared.quantum);
+            let mut min_wake = None;
+            wake_thread(st, next, self.clock, &mut min_wake);
+            self.trim_deadline(min_wake);
         } else {
             rec.owner = None;
         }
@@ -685,8 +636,6 @@ impl ThreadCtx {
         // pthread_mutex_unlock only).
         self.release_mutex_locked(&mut st, m);
         st.conds[c.0].waiters.push_back((self.id.0, m.0));
-        st.threads[self.id.0].status = Status::Blocked;
-        st.threads[self.id.0].clock = self.clock;
         let wait_start = self.clock;
         self.block(st);
         // On resume we own the mutex again. Signals delivered during the
@@ -708,12 +657,7 @@ impl ThreadCtx {
 
     fn notify(&mut self, c: CondId, all: bool) {
         self.op_boundary();
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.before_cond_notify(self);
-            self.in_hook = false;
-        }
+        self.call_hook(|h, ctx| h.before_cond_notify(ctx));
         // Same causality consideration as mutex_unlock.
         self.op_boundary();
         self.clock += Duration::from_ns(LOCK_OP_NS);
@@ -726,8 +670,7 @@ impl ThreadCtx {
             if st.mutexes[m].owner.is_none() {
                 st.mutexes[m].owner = Some(t);
                 st.threads[t].status = Status::Runnable;
-                let woken_clock = st.threads[t].clock;
-                self.deadline = self.deadline.min(woken_clock + self.shared.quantum);
+                self.trim_deadline(Some(st.threads[t].clock));
             } else {
                 st.mutexes[m].waiters.push_back(t);
                 // Stays blocked until the mutex is handed over.
@@ -792,12 +735,7 @@ impl ThreadCtx {
     /// Raises [`Hooks::on_atomic`](crate::Hooks::on_atomic) unless
     /// already inside a hook (hook operations do not re-enter hooks).
     fn dispatch_atomic(&mut self, ev: &AtomicEvent) {
-        if !self.in_hook {
-            let hooks = self.shared.hooks.read().clone();
-            self.in_hook = true;
-            hooks.on_atomic(self, ev);
-            self.in_hook = false;
-        }
+        self.call_hook(|h, ctx| h.on_atomic(ctx, ev));
     }
 
     /// The one interposed path every [`SimAtomicU64`]/[`SimAtomicPtr`]
@@ -967,29 +905,119 @@ impl ThreadCtx {
         register_receiver(&mut st, ch.id().0, self.id.0);
     }
 
-    /// Completes a send under the scheduler lock: payload into the
-    /// host-side buffer, depth bump, one parked receiver woken at this
-    /// instant plus the hand-off cost. Caller has verified room.
-    fn complete_send_locked<T: Send>(&mut self, st: &mut SchedState, ch: &SimChannel<T>, value: T) {
-        // Data and control plane move together under the scheduler
-        // lock: INVARIANT queued == buf.len().
-        ch.push(value);
-        st.channels[ch.id().0].queued += 1;
+    /// The absolute deadline of a wait of `timeout` from now, capped at
+    /// [`FAR_FUTURE`] so the longest timeout cannot overflow.
+    fn deadline_after(&self, timeout: Duration) -> SimTime {
+        SimTime::from_ps(self.clock.as_ps().saturating_add(timeout.as_ps())).min(FAR_FUTURE)
+    }
+
+    /// Wakes the first thread still parked in `queue` of channel `ch`
+    /// at this instant plus the hand-off cost, trimming our lookahead so
+    /// it runs promptly.
+    fn wake_parked(&mut self, st: &mut SchedState, ch: usize, queue: Parked) {
         let mut min_wake = None;
-        wake_one_receiver(st, ch.id().0, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + self.shared.quantum);
+        wake_one(st, ch, queue, self.clock, &mut min_wake);
+        self.trim_deadline(min_wake);
+    }
+
+    /// The one send path. Completes the send if the channel has room;
+    /// otherwise parks until a receiver frees a slot (or, for a
+    /// rendezvous, parks to pair with us), the channel closes, or the
+    /// `timeout` (none: wait forever) expires. A zero timeout gives up
+    /// without parking.
+    fn send_until<T: Send>(
+        &mut self,
+        ch: &SimChannel<T>,
+        value: T,
+        timeout: Option<Duration>,
+    ) -> Result<(), SendTimeoutError<T>> {
+        self.op_boundary();
+        self.clock += Duration::from_ns(LOCK_OP_NS);
+        let deadline = timeout.map(|t| self.deadline_after(t));
+        let (me, c) = (self.id.0, ch.id().0);
+        loop {
+            let shared = Arc::clone(&self.shared);
+            let mut st = shared.state.lock();
+            register_sender(&mut st, c, me);
+            if st.threads[me].timed_wait.take().is_some_and(|w| w.expired) {
+                return Err(SendTimeoutError::Timeout(value));
+            }
+            let rec = &mut st.channels[c];
+            if rec.closed {
+                return Err(SendTimeoutError::Closed(value));
+            }
+            if rec.has_room() {
+                // Data and control plane move together under the
+                // scheduler lock: INVARIANT queued == buf.len().
+                ch.push(value);
+                rec.queued += 1;
+                self.wake_parked(&mut st, c, Parked::Receivers);
+                return Ok(());
+            }
+            if deadline.is_some_and(|d| self.clock >= d) {
+                return Err(SendTimeoutError::Timeout(value));
+            }
+            rec.blocked_senders.push_back(me);
+            st.threads[me].timed_wait = deadline.map(|deadline| TimedWait {
+                deadline,
+                channel: c,
+                expired: false,
+            });
+            self.block(st);
+            // Woken by a drained slot, a newly parked rendezvous
+            // receiver, a close, or the deadline. Re-check: with
+            // multiple producers another sender may have claimed the
+            // slot first.
         }
     }
 
-    /// Wakes one blocked sender after this receiver drained a slot (or
-    /// parked, for a rendezvous pairing), trimming our lookahead so the
-    /// freed producer runs promptly.
-    fn wake_sender_after_pop(&mut self, st: &mut SchedState, ch: usize) {
-        let mut min_wake = None;
-        wake_one_blocked_sender(st, ch, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + self.shared.quantum);
+    /// The one receive path. Takes the oldest payload if one is queued;
+    /// otherwise parks off the runnable set (in virtual time, never
+    /// spinning) until a send, an injection or a close wakes it, or the
+    /// `timeout` (none: wait forever) expires. A zero timeout gives up
+    /// without parking.
+    fn recv_until<T: Send>(
+        &mut self,
+        ch: &SimChannel<T>,
+        timeout: Option<Duration>,
+    ) -> Result<T, RecvTimeoutError> {
+        self.op_boundary();
+        self.clock += Duration::from_ns(LOCK_OP_NS);
+        let deadline = timeout.map(|t| self.deadline_after(t));
+        let (me, c) = (self.id.0, ch.id().0);
+        loop {
+            let shared = Arc::clone(&self.shared);
+            let mut st = shared.state.lock();
+            register_receiver(&mut st, c, me);
+            if st.threads[me].timed_wait.take().is_some_and(|w| w.expired) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            let rec = &mut st.channels[c];
+            if rec.queued > 0 {
+                rec.queued -= 1;
+                let v = ch.pop().expect("channel buffer behind queued count");
+                self.wake_parked(&mut st, c, Parked::Senders);
+                return Ok(v);
+            }
+            if rec.closed {
+                return Err(RecvTimeoutError::Closed);
+            }
+            if deadline.is_some_and(|d| self.clock >= d) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            rec.receivers.push_back(me);
+            st.threads[me].timed_wait = deadline.map(|deadline| TimedWait {
+                deadline,
+                channel: c,
+                expired: false,
+            });
+            // Rendezvous pairing: our parking is the event a capacity-0
+            // blocked sender waits for.
+            self.wake_parked(&mut st, c, Parked::Senders);
+            self.block(st);
+            // Woken by a send, an injection, a close, or the deadline.
+            // Re-check: with multiple consumers another receiver may
+            // have drained the payload first, in which case we re-park.
         }
     }
 
@@ -1005,27 +1033,8 @@ impl ThreadCtx {
     /// Panics if the channel is closed (contained as
     /// [`SimFailure::ThreadPanic`](crate::SimFailure)).
     pub fn chan_send<T: Send>(&mut self, ch: &SimChannel<T>, value: T) {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        let mut value = Some(value);
-        loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
-            register_sender(&mut st, ch.id().0, self.id.0);
-            let rec = &mut st.channels[ch.id().0];
-            assert!(!rec.closed, "send on closed channel");
-            if rec.has_room() {
-                let v = value.take().expect("send payload consumed twice");
-                self.complete_send_locked(&mut st, ch, v);
-                return;
-            }
-            rec.blocked_senders.push_back(self.id.0);
-            st.threads[self.id.0].status = Status::Blocked;
-            st.threads[self.id.0].clock = self.clock;
-            self.block(st);
-            // Woken by a drained slot, a newly parked rendezvous
-            // receiver, or a close. Re-check: with multiple producers
-            // another sender may have claimed the slot first.
+        if self.send_until(ch, value, None).is_err() {
+            panic!("send on closed channel");
         }
     }
 
@@ -1042,20 +1051,11 @@ impl ThreadCtx {
         ch: &SimChannel<T>,
         value: T,
     ) -> Result<(), TrySendError<T>> {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        register_sender(&mut st, ch.id().0, self.id.0);
-        let rec = &st.channels[ch.id().0];
-        if rec.closed {
-            return Err(TrySendError::Closed(value));
-        }
-        if !rec.has_room() {
-            return Err(TrySendError::Full(value));
-        }
-        self.complete_send_locked(&mut st, ch, value);
-        Ok(())
+        self.send_until(ch, value, Some(Duration::ZERO))
+            .map_err(|e| match e {
+                SendTimeoutError::Timeout(v) => TrySendError::Full(v),
+                SendTimeoutError::Closed(v) => TrySendError::Closed(v),
+            })
     }
 
     /// Sends with a virtual-time deadline: like
@@ -1075,82 +1075,14 @@ impl ThreadCtx {
         value: T,
         timeout: Duration,
     ) -> Result<(), SendTimeoutError<T>> {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        let deadline = self.clock + timeout;
-        let mut value = Some(value);
-        loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
-            let me = self.id.0;
-            register_sender(&mut st, ch.id().0, me);
-            if st.threads[me].timed_wait.is_some_and(|w| w.expired) {
-                st.threads[me].timed_wait = None;
-                let v = value.take().expect("send payload consumed twice");
-                return Err(SendTimeoutError::Timeout(v));
-            }
-            let closed = st.channels[ch.id().0].closed;
-            if closed {
-                st.threads[me].timed_wait = None;
-                let v = value.take().expect("send payload consumed twice");
-                return Err(SendTimeoutError::Closed(v));
-            }
-            if st.channels[ch.id().0].has_room() {
-                st.threads[me].timed_wait = None;
-                let v = value.take().expect("send payload consumed twice");
-                self.complete_send_locked(&mut st, ch, v);
-                return Ok(());
-            }
-            if self.clock >= deadline {
-                // Zero/elapsed budget and no room: give up without
-                // parking (covers `timeout == 0` as a try_send).
-                st.threads[me].timed_wait = None;
-                let v = value.take().expect("send payload consumed twice");
-                return Err(SendTimeoutError::Timeout(v));
-            }
-            st.channels[ch.id().0].blocked_senders.push_back(me);
-            st.threads[me].timed_wait = Some(TimedWait {
-                deadline,
-                channel: ch.id().0,
-                expired: false,
-            });
-            st.threads[me].status = Status::Blocked;
-            st.threads[me].clock = self.clock;
-            self.block(st);
-        }
+        self.send_until(ch, value, Some(timeout))
     }
 
     /// Receives the oldest payload from `ch`, parking off the runnable
     /// set (in virtual time, never spinning) while the channel is empty.
     /// Returns `None` once the channel is closed and drained.
     pub fn chan_recv<T: Send>(&mut self, ch: &SimChannel<T>) -> Option<T> {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
-            register_receiver(&mut st, ch.id().0, self.id.0);
-            let rec = &mut st.channels[ch.id().0];
-            if rec.queued > 0 {
-                rec.queued -= 1;
-                let v = ch.pop().expect("channel buffer behind queued count");
-                self.wake_sender_after_pop(&mut st, ch.id().0);
-                return Some(v);
-            }
-            if rec.closed {
-                return None;
-            }
-            rec.receivers.push_back(self.id.0);
-            st.threads[self.id.0].status = Status::Blocked;
-            st.threads[self.id.0].clock = self.clock;
-            // Rendezvous pairing: our parking is the event a capacity-0
-            // blocked sender waits for.
-            self.wake_sender_after_pop(&mut st, ch.id().0);
-            self.block(st);
-            // Woken by a send, an injection, or a close. Re-check: with
-            // multiple consumers another receiver may have drained the
-            // payload first, in which case we re-park.
-        }
+        self.recv_until(ch, None).ok()
     }
 
     /// Receives with a virtual-time deadline: like
@@ -1169,48 +1101,7 @@ impl ThreadCtx {
         ch: &SimChannel<T>,
         timeout: Duration,
     ) -> Result<T, RecvTimeoutError> {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        let deadline = self.clock + timeout;
-        loop {
-            let shared = Arc::clone(&self.shared);
-            let mut st = shared.state.lock();
-            let me = self.id.0;
-            register_receiver(&mut st, ch.id().0, me);
-            if st.threads[me].timed_wait.is_some_and(|w| w.expired) {
-                st.threads[me].timed_wait = None;
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let rec = &mut st.channels[ch.id().0];
-            if rec.queued > 0 {
-                rec.queued -= 1;
-                st.threads[me].timed_wait = None;
-                let v = ch.pop().expect("channel buffer behind queued count");
-                self.wake_sender_after_pop(&mut st, ch.id().0);
-                return Ok(v);
-            }
-            if rec.closed {
-                st.threads[me].timed_wait = None;
-                return Err(RecvTimeoutError::Closed);
-            }
-            if self.clock >= deadline {
-                // Zero/elapsed budget and nothing queued: give up
-                // without parking (covers `timeout == 0` as a
-                // try_recv).
-                st.threads[me].timed_wait = None;
-                return Err(RecvTimeoutError::Timeout);
-            }
-            rec.receivers.push_back(me);
-            st.threads[me].timed_wait = Some(TimedWait {
-                deadline,
-                channel: ch.id().0,
-                expired: false,
-            });
-            st.threads[me].status = Status::Blocked;
-            st.threads[me].clock = self.clock;
-            self.wake_sender_after_pop(&mut st, ch.id().0);
-            self.block(st);
-        }
+        self.recv_until(ch, Some(timeout))
     }
 
     /// Non-blocking receive.
@@ -1220,23 +1111,11 @@ impl ThreadCtx {
     /// [`TryRecvError::Empty`] if no payload is queued right now,
     /// [`TryRecvError::Closed`] once the channel is closed and drained.
     pub fn chan_try_recv<T: Send>(&mut self, ch: &SimChannel<T>) -> Result<T, TryRecvError> {
-        self.op_boundary();
-        self.clock += Duration::from_ns(LOCK_OP_NS);
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        register_receiver(&mut st, ch.id().0, self.id.0);
-        let rec = &mut st.channels[ch.id().0];
-        if rec.queued > 0 {
-            rec.queued -= 1;
-            let v = ch.pop().expect("channel buffer behind queued count");
-            self.wake_sender_after_pop(&mut st, ch.id().0);
-            return Ok(v);
-        }
-        if rec.closed {
-            Err(TryRecvError::Closed)
-        } else {
-            Err(TryRecvError::Empty)
-        }
+        self.recv_until(ch, Some(Duration::ZERO))
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => TryRecvError::Empty,
+                RecvTimeoutError::Closed => TryRecvError::Closed,
+            })
     }
 
     /// Closes `ch`: parked receivers wake and drain; once the buffer
@@ -1248,40 +1127,17 @@ impl ThreadCtx {
         let mut st = shared.state.lock();
         let mut min_wake = None;
         close_channel(&mut st, ch.id().0, self.clock, &mut min_wake);
-        if let Some(w) = min_wake {
-            self.deadline = self.deadline.min(w + shared.quantum);
-        }
+        self.trim_deadline(min_wake);
     }
 }
 
-/// Computes (yield deadline, next timer fire) for thread `id`.
-fn compute_caches(st: &SchedState, id: usize, quantum: Duration) -> (SimTime, SimTime) {
-    let min_other = st
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| *i != id && t.status == Status::Runnable)
-        .map(|(_, t)| t.clock)
-        .min();
-    let deadline = match min_other {
-        Some(c) => c + quantum,
-        None => FAR_FUTURE,
-    };
-    (deadline, next_event_cache(st))
-}
-
-/// The earliest pending virtual-time event a running thread must stop
-/// for at an op boundary: a timer fire or a blocked thread's timed-wait
-/// deadline. Both are scheduled events, so neither may slide past a
-/// running thread's clock unobserved.
-fn next_event_cache(st: &SchedState) -> SimTime {
-    let timer = st.timers.iter().map(|t| t.next_fire).min();
-    let wait = next_timed_wait(st).map(|(dl, _)| dl);
-    match (timer, wait) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) | (None, Some(a)) => a,
-        (None, None) => FAR_FUTURE,
-    }
+/// The instant of the earliest pending virtual-time event a running
+/// thread must stop for at an op boundary: a timer fire or a blocked
+/// thread's timed-wait deadline. Both are scheduled events, so neither
+/// may slide past a running thread's clock unobserved.
+fn next_event_at(st: &SchedState) -> SimTime {
+    st.next_event(FAR_FUTURE, false)
+        .map_or(FAR_FUTURE, |(at, _)| at)
 }
 
 impl std::fmt::Debug for ThreadCtx {

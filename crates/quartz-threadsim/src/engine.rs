@@ -53,10 +53,12 @@ pub(crate) const DEFAULT_LIVELOCK_THRESHOLD: u64 = 1_000_000;
 /// Cost `pthread_create` charges the parent.
 pub(crate) const SPAWN_NS: u64 = 2_000;
 
-/// Sentinel "never fires again" instant for stopped timers. Far enough
-/// in the future that no virtual clock reaches it, yet small enough
-/// that adding a period to it cannot overflow.
-pub(crate) const TIMER_NEVER: SimTime = SimTime::from_ps(u64::MAX / 4);
+/// The "never" instant: a stopped timer's next firing, the lookahead
+/// deadline of a thread with no runnable peer, and the cap on a timed
+/// wait's deadline. Far enough in the future that no virtual clock
+/// reaches it, yet small enough that adding a period to it cannot
+/// overflow.
+pub(crate) const FAR_FUTURE: SimTime = SimTime::from_ps(u64::MAX / 4);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Status {
@@ -200,6 +202,75 @@ pub(crate) struct SchedState {
     pub done_tx: Option<Sender<()>>,
     pub cas_spurious: Option<SpuriousCas>,
     pub livelock_threshold: u64,
+}
+
+/// A pending virtual-time event, as picked by [`SchedState::next_event`]
+/// and processed by [`apply_event`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Event {
+    /// Thread `.0`'s timed channel wait reaches its deadline.
+    Expiry(usize),
+    /// Timer `.0` fires.
+    Fire(usize),
+}
+
+impl SchedState {
+    /// The runnable thread with the minimum `(clock, id)`, other than
+    /// `except`, with its clock. The one place the scheduler decides
+    /// which thread runs next.
+    pub fn min_runnable(&self, except: Option<usize>) -> Option<(usize, SimTime)> {
+        self.threads
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| t.status == Status::Runnable && Some(i) != except)
+            .min_by_key(|&(i, t)| (t.clock, i))
+            .map(|(i, t)| (i, t.clock))
+    }
+
+    /// The next pending virtual-time event due no later than `horizon`,
+    /// with its instant: the earliest unexpired timed-wait deadline of a
+    /// blocked thread, or the earliest live timer (only wake-capable
+    /// sources when `wake_only`), each smallest index first on ties.
+    ///
+    /// A deadline due no later than the next timer fire expires first:
+    /// a payload landing at exactly the deadline instant is too late
+    /// (POSIX timed-wait semantics).
+    pub fn next_event(&self, horizon: SimTime, wake_only: bool) -> Option<(SimTime, Event)> {
+        let timer = self
+            .timers
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.next_fire < FAR_FUTURE && (t.wake || !wake_only))
+            .map(|(i, t)| (t.next_fire, i))
+            .min();
+        let wait = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.status == Status::Blocked)
+            .filter_map(|(i, t)| t.timed_wait.filter(|w| !w.expired).map(|w| (w.deadline, i)))
+            .min();
+        let next = match (wait, timer) {
+            (Some((dl, i)), timer) if timer.is_none_or(|(at, _)| dl <= at) => {
+                (dl, Event::Expiry(i))
+            }
+            (_, Some((at, i))) => (at, Event::Fire(i)),
+            _ => return None,
+        };
+        (next.0 <= horizon).then_some(next)
+    }
+}
+
+/// Processes an event [`SchedState::next_event`] returned. Returns the
+/// minimum clock of any thread it woke, so a running thread can trim
+/// its lookahead deadline.
+pub(crate) fn apply_event(st: &mut SchedState, ev: Event) -> Option<SimTime> {
+    let mut min_wake = None;
+    match ev {
+        Event::Expiry(i) => expire_timed_wait(st, i, &mut min_wake),
+        Event::Fire(i) => fire_timer(st, i, &mut min_wake),
+    }
+    min_wake
 }
 
 pub(crate) struct EngineShared {
@@ -515,13 +586,7 @@ impl Engine {
         // Shut down any threads still parked (failure paths) and join.
         let handles = {
             let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.shutdown_flag.store(true, Ordering::Release);
-            for t in &st.threads {
-                if t.status != Status::Finished {
-                    let _ = t.permit.send(());
-                }
-            }
+            abort_all(&self.shared, &mut st);
             std::mem::take(&mut st.handles)
         };
         for (i, h) in handles.into_iter().enumerate() {
@@ -757,10 +822,7 @@ pub(crate) fn finish_thread(shared: &Arc<EngineShared>, id: usize, clock: SimTim
     st.live -= 1;
     let joiners = std::mem::take(&mut st.threads[id].joiners);
     for j in joiners {
-        let floor = clock + Duration::from_ns(HANDOFF_NS);
-        let t = &mut st.threads[j];
-        t.clock = t.clock.max(floor);
-        t.status = Status::Runnable;
+        wake_thread(&mut st, j, clock, &mut None);
     }
     let next = schedule_next(shared, &mut st);
     hand_off(shared, st, next);
@@ -770,37 +832,39 @@ pub(crate) fn finish_thread(shared: &Arc<EngineShared>, id: usize, clock: SimTim
 /// wakes with [`hand_off`]. Detects completion and deadlock; returns
 /// `None` when there is nobody to wake (the run is complete, failed or
 /// shutting down).
+///
+/// With every live thread blocked, pending virtual-time events are
+/// processed in order until one wakes a thread: an open-loop source may
+/// inject an arrival that wakes a channel receiver, and a timed channel
+/// wait self-wakes at its deadline. Only if neither can make progress is
+/// this a genuine deadlock. A misbehaving source that keeps firing
+/// without ever waking anyone would advance virtual time forever; after
+/// a generous budget of consecutive barren firings the run is reported
+/// as a deadlock (listing the blocked channel waits).
 pub(crate) fn schedule_next(shared: &EngineShared, st: &mut SchedState) -> Option<usize> {
     if st.shutdown {
         return None;
     }
-    let next = st
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.status == Status::Runnable)
-        .min_by_key(|(i, t)| (t.clock, *i))
-        .map(|(i, _)| i);
-    match next {
-        Some(i) => Some(i),
-        None if st.live == 0 => {
+    let mut barren = 0u32;
+    loop {
+        if let Some((i, _)) = st.min_runnable(None) {
+            return Some(i);
+        }
+        if st.live == 0 {
             if let Some(tx) = st.done_tx.take() {
                 let _ = tx.send(());
             }
-            None
+            return None;
         }
-        None => {
-            // Event-driven advance: with every thread blocked, an
-            // open-loop source may still inject arrivals that wake a
-            // channel receiver, and a timed channel wait self-wakes at
-            // its deadline. Only if neither can make progress is this a
-            // genuine deadlock.
-            if advance_sources(st) {
-                schedule_next(shared, st)
-            } else {
+        match st.next_event(FAR_FUTURE, true) {
+            Some((_, ev)) if barren <= 4096 => {
+                apply_event(st, ev);
+                barren += 1;
+            }
+            _ => {
                 let report = deadlock_report(st);
                 fail(shared, st, SimFailure::Deadlock(report));
-                None
+                return None;
             }
         }
     }
@@ -840,22 +904,11 @@ pub(crate) fn hand_off(shared: &EngineShared, st: MutexGuard<'_, SchedState>, ne
     }
 }
 
-/// The earliest unexpired timed-wait deadline among blocked threads,
-/// with its thread (smallest id on ties, deterministic).
-pub(crate) fn next_timed_wait(st: &SchedState) -> Option<(SimTime, usize)> {
-    st.threads
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.status == Status::Blocked)
-        .filter_map(|(i, t)| t.timed_wait.filter(|w| !w.expired).map(|w| (w.deadline, i)))
-        .min()
-}
-
 /// Expires thread `i`'s timed channel wait: unlinks it from the
 /// channel's parked queues, marks the wait expired (the parked
 /// operation returns its typed Timeout), and wakes the thread at
 /// exactly its deadline — no hand-off cost, nobody handed anything off.
-pub(crate) fn expire_timed_wait(st: &mut SchedState, i: usize, min_wake: &mut Option<SimTime>) {
+fn expire_timed_wait(st: &mut SchedState, i: usize, min_wake: &mut Option<SimTime>) {
     let Some(w) = st.threads[i].timed_wait else {
         return;
     };
@@ -866,65 +919,15 @@ pub(crate) fn expire_timed_wait(st: &mut SchedState, i: usize, min_wake: &mut Op
     t.timed_wait = Some(TimedWait { expired: true, ..w });
     t.clock = t.clock.max(w.deadline);
     t.status = Status::Runnable;
-    let c = t.clock;
-    *min_wake = Some(match *min_wake {
-        Some(m) => m.min(c),
-        None => c,
-    });
-}
-
-/// With no thread runnable, processes pending virtual-time events —
-/// wake-capable event sources and timed-wait deadlines — in
-/// virtual-time order until one of them wakes a thread. Returns `true`
-/// when some thread became runnable, `false` when nothing can help.
-///
-/// A misbehaving source that keeps firing without ever injecting would
-/// advance virtual time forever; after a generous budget of consecutive
-/// barren firings the advance gives up and the run is reported as a
-/// deadlock (listing the blocked channel waits).
-fn advance_sources(st: &mut SchedState) -> bool {
-    let mut barren = 0u32;
-    loop {
-        let due_src = st
-            .timers
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.wake && t.next_fire < TIMER_NEVER)
-            .min_by_key(|(i, t)| (t.next_fire, *i))
-            .map(|(i, t)| (t.next_fire, i));
-        let due_wait = next_timed_wait(st);
-        match (due_wait, due_src) {
-            // A deadline due no later than the next injection expires
-            // first (a payload landing at exactly the deadline instant
-            // is too late — POSIX timed-wait semantics).
-            (Some((dl, thread)), src) if src.is_none_or(|(at, _)| dl <= at) => {
-                let mut min_wake = None;
-                expire_timed_wait(st, thread, &mut min_wake);
-                return true;
-            }
-            (_, Some((_, idx))) => {
-                fire_timer(st, idx);
-                if st.threads.iter().any(|t| t.status == Status::Runnable) {
-                    return true;
-                }
-                barren += 1;
-                if barren > 4096 {
-                    return false;
-                }
-            }
-            // `(Some(_), None)` always passes the first arm's guard,
-            // so only `(None, None)` reaches here.
-            _ => return false,
-        }
-    }
+    note_wake(min_wake, t.clock);
 }
 
 /// Fires timer `idx` at its scheduled instant: runs the callback,
 /// applies its effects (signals, channel injections/closes, stop,
-/// reschedule), and advances `next_fire`. Returns the minimum clock of
-/// any thread it woke, so a running thread can trim its lookahead
-/// deadline. Must be called with the scheduler lock held.
-pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
+/// reschedule), and advances `next_fire`, folding the clock of any
+/// thread it woke into `min_wake`. Must be called with the scheduler
+/// lock held.
+fn fire_timer(st: &mut SchedState, idx: usize, min_wake: &mut Option<SimTime>) {
     let fire_time = st.timers[idx].next_fire;
     let period = st.timers[idx].period;
     let live: Vec<ThreadId> = st
@@ -964,16 +967,15 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
     }
     // Injections are applied before the stop/reschedule decision, so a
     // source's *final* firing may both deliver a payload and stop.
-    let mut min_wake = None;
     for ch in injected {
         st.channels[ch.0].queued += 1;
-        wake_one_receiver(st, ch.0, fire_time, &mut min_wake);
+        wake_one(st, ch.0, Parked::Receivers, fire_time, min_wake);
     }
     for ch in closed {
-        close_channel(st, ch.0, fire_time, &mut min_wake);
+        close_channel(st, ch.0, fire_time, min_wake);
     }
     if stopped {
-        st.timers[idx].next_fire = TIMER_NEVER;
+        st.timers[idx].next_fire = FAR_FUTURE;
         let feeds = std::mem::take(&mut st.timers[idx].feeds);
         for ch in feeds {
             st.channels[ch].sources -= 1;
@@ -982,7 +984,7 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
                 .iter()
                 .any(|&s| st.threads[s].status != Status::Finished);
             if st.channels[ch].sources == 0 && !live_sender {
-                close_channel(st, ch, fire_time, &mut min_wake);
+                close_channel(st, ch, fire_time, min_wake);
             }
         }
     } else {
@@ -991,7 +993,11 @@ pub(crate) fn fire_timer(st: &mut SchedState, idx: usize) -> Option<SimTime> {
         // the period itself is unchanged.
         st.timers[idx].next_fire = fire_time + next_gap.unwrap_or(period) + defer;
     }
-    min_wake
+}
+
+/// Folds a woken thread's resume clock `c` into `min_wake`.
+fn note_wake(min_wake: &mut Option<SimTime>, c: SimTime) {
+    *min_wake = Some(min_wake.map_or(c, |m| m.min(c)));
 }
 
 /// Marks `thread` runnable no earlier than `at` plus the hand-off cost,
@@ -1006,64 +1012,50 @@ pub(crate) fn wake_thread(
     let t = &mut st.threads[thread];
     t.clock = t.clock.max(floor);
     t.status = Status::Runnable;
-    let c = t.clock;
-    *min_wake = Some(match *min_wake {
-        Some(m) => m.min(c),
-        None => c,
-    });
+    note_wake(min_wake, t.clock);
 }
 
-/// Wakes the first parked receiver of `ch` that can still accept a
-/// payload arriving at `at`. Parked receivers whose timed-wait deadline
-/// already passed are expired instead (woken at their own deadline with
-/// the timeout flag — the payload stays queued for the next taker), so
-/// a late send never resurrects a wait that should have timed out.
-pub(crate) fn wake_one_receiver(
+/// Which parked queue of a channel [`wake_one`] serves.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Parked {
+    /// Threads parked in a receive on an empty channel.
+    Receivers,
+    /// Threads blocked in a send on a full channel.
+    Senders,
+}
+
+/// Wakes the first thread of `ch`'s `queue` that is still waiting at
+/// instant `at`: a payload arrived for a receiver, or a slot freed (or
+/// a rendezvous receiver parked) for a sender. Parked threads whose
+/// timed-wait deadline already passed are expired instead (woken at
+/// their own deadline with the timeout flag — a payload stays queued for
+/// the next taker), so a late event never resurrects a wait that should
+/// have timed out.
+pub(crate) fn wake_one(
     st: &mut SchedState,
     ch: usize,
+    queue: Parked,
     at: SimTime,
     min_wake: &mut Option<SimTime>,
 ) {
     loop {
-        let Some(&r) = st.channels[ch].receivers.front() else {
+        let rec = &mut st.channels[ch];
+        let parked = match queue {
+            Parked::Receivers => &mut rec.receivers,
+            Parked::Senders => &mut rec.blocked_senders,
+        };
+        let Some(&t) = parked.front() else {
             return;
         };
-        let stale = st.threads[r]
+        let stale = st.threads[t]
             .timed_wait
             .is_some_and(|w| !w.expired && w.deadline <= at);
         if stale {
-            expire_timed_wait(st, r, min_wake);
-            continue; // unlinked itself; try the next receiver
+            expire_timed_wait(st, t, min_wake);
+            continue; // unlinked itself; try the next one
         }
-        st.channels[ch].receivers.pop_front();
-        wake_thread(st, r, at, min_wake);
-        return;
-    }
-}
-
-/// Wakes the first blocked sender of `ch` that is still waiting at
-/// instant `at` (a queue slot freed, or a rendezvous receiver parked).
-/// Senders whose timed-wait deadline already passed are expired
-/// instead.
-pub(crate) fn wake_one_blocked_sender(
-    st: &mut SchedState,
-    ch: usize,
-    at: SimTime,
-    min_wake: &mut Option<SimTime>,
-) {
-    loop {
-        let Some(&s) = st.channels[ch].blocked_senders.front() else {
-            return;
-        };
-        let stale = st.threads[s]
-            .timed_wait
-            .is_some_and(|w| !w.expired && w.deadline <= at);
-        if stale {
-            expire_timed_wait(st, s, min_wake);
-            continue;
-        }
-        st.channels[ch].blocked_senders.pop_front();
-        wake_thread(st, s, at, min_wake);
+        parked.pop_front();
+        wake_thread(st, t, at, min_wake);
         return;
     }
 }

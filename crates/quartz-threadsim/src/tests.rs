@@ -993,6 +993,36 @@ fn recv_timeout_distinguishes_expiry_from_late_arrival() {
 }
 
 #[test]
+fn longest_channel_timeouts_wait_for_a_later_peer() {
+    // A timeout of u64::MAX ps must not overflow the deadline (a panic
+    // in debug builds) or wrap it into the past (an immediate Timeout
+    // in release builds): both timed waits see their peer 10 us later.
+    let forever = Duration::from_ps(u64::MAX);
+    engine(Architecture::IvyBridge).run(move |ctx| {
+        let ch = ctx.chan_new::<u64>();
+        let tx = ch.clone();
+        let sender = ctx.spawn(move |c| {
+            c.compute_ns(10_000.0);
+            c.chan_send(&tx, 7);
+        });
+        assert_eq!(ctx.chan_recv_timeout(&ch, forever), Ok(7));
+        assert!(ctx.now().as_ns_f64() >= 10_000.0);
+        ctx.join(sender);
+
+        let full = ctx.chan_new_bounded::<u64>(1);
+        ctx.chan_send(&full, 1);
+        let rx = full.clone();
+        let drainer = ctx.spawn(move |c| {
+            c.compute_ns(10_000.0);
+            assert_eq!(c.chan_recv(&rx), Some(1));
+        });
+        assert_eq!(ctx.chan_send_timeout(&full, 2, forever), Ok(()));
+        ctx.join(drainer);
+        assert_eq!(ctx.chan_recv(&full), Some(2));
+    });
+}
+
+#[test]
 fn timed_wait_is_not_misclassified_by_watchdog_or_deadlock_detector() {
     use crate::RecvTimeoutError;
     // Every thread sits in a timed wait on a never-fed channel while

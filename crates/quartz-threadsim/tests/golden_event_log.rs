@@ -1,25 +1,32 @@
-//! Golden hook-event log of one run that exercises every wake path.
+//! Golden hook-event logs of runs that exercise every wake path.
 //!
-//! A change to how the engine hands the scheduler token between OS
-//! threads (when the permit is sent, which lock is held) must leave
-//! every scheduling decision and virtual clock as it was. This test
-//! runs one simulation mixing a mutex, a condition variable, bounded
-//! channels with timed sends and receives, an open-loop timer source, a
-//! signalling monitor timer and atomics, records every hook call's
-//! thread id and `now()`, and pins the FNV-1a hash of that log plus the
-//! `RunReport`.
+//! A change to how the engine picks the next thread or event, or hands
+//! the scheduler token between OS threads, must leave every scheduling
+//! decision and virtual clock as it was. Each scenario below runs one
+//! simulation, records every hook call's thread id and `now()` (plus,
+//! where a scenario says so, the outcome of a channel or barrier call),
+//! and pins the FNV-1a hash of that log plus the `RunReport`.
+//!
+//! - `mixed_sync`: a mutex, a condition variable, bounded channels with
+//!   timed sends and receives, an open-loop timer source, a signalling
+//!   monitor timer and atomics.
+//! - `edge_paths`: barrier generations behind the `before_barrier` hook,
+//!   a barrier waiter that ran ahead of its releaser, `join` on a
+//!   finished thread, `chan_try_send`/`chan_try_recv`
+//!   returning Full, Empty and Closed, a rendezvous channel, a thread-side
+//!   close waking parked receivers and blocked senders, a timed send
+//!   expiring on a full queue, and the timer-causality case of a thread
+//!   that jumps far ahead of a gated open-loop source.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use quartz_memsim::{MemSimConfig, MemorySystem};
 use quartz_platform::time::Duration;
 use quartz_platform::{Architecture, Platform, PlatformConfig};
-use quartz_threadsim::{AtomicEvent, Engine, Hooks, RecvTimeoutError, ThreadCtx};
+use quartz_threadsim::{AtomicEvent, Engine, Hooks, RecvTimeoutError, RunReport, ThreadCtx};
 
-/// The fingerprint of [`event_log`].
-const GOLDEN_EVENT_LOG: u64 = 0x03c6_a4a5_12c0_8bbf;
-
-/// Requests the open-loop source injects.
+/// Requests the `mixed_sync` open-loop source injects.
 const REQUESTS: u64 = 240;
 
 /// Records `(hook, thread, now)` for every hook call.
@@ -80,8 +87,35 @@ impl Fnv {
     }
 }
 
-/// Runs the simulation; returns the log's fingerprint and its length.
-fn event_log() -> (u64, usize) {
+/// One pinned run.
+struct Scenario {
+    name: &'static str,
+    /// Builds the run on a fresh engine whose hooks are the recorder.
+    run: fn(Engine, Arc<Recorder>) -> RunReport,
+    /// Fingerprint of the log plus the `RunReport`.
+    golden: u64,
+    /// Lower bound on the log length, so a run that silently stops
+    /// exercising the hooks cannot pass.
+    min_events: usize,
+}
+
+const SCENARIOS: &[Scenario] = &[
+    Scenario {
+        name: "mixed_sync",
+        run: mixed_sync,
+        golden: 0x03c6_a4a5_12c0_8bbf,
+        min_events: 1_000,
+    },
+    Scenario {
+        name: "edge_paths",
+        run: edge_paths,
+        golden: 0x5113_1917_608e_689b,
+        min_events: 90,
+    },
+];
+
+/// Runs `scenario`; returns the log's fingerprint and its length.
+fn event_log(scenario: &Scenario) -> (u64, usize) {
     let platform = Platform::new(PlatformConfig::new(Architecture::SandyBridge));
     let mem = Arc::new(MemorySystem::new(
         platform,
@@ -90,7 +124,19 @@ fn event_log() -> (u64, usize) {
     let engine = Engine::new(mem);
     let rec = Arc::new(Recorder::default());
     engine.set_hooks(rec.clone());
+    let report = (scenario.run)(engine, Arc::clone(&rec));
 
+    let log = rec.log.lock().unwrap();
+    let mut h = Fnv::new();
+    for line in log.iter() {
+        h.write(line);
+        h.write("\n");
+    }
+    h.write(&format!("{report:?}"));
+    (h.0, log.len())
+}
+
+fn mixed_sync(engine: Engine, _rec: Arc<Recorder>) -> RunReport {
     // Open-loop arrivals into a small bounded queue, at LCG-varied gaps.
     let requests = engine.bounded_channel::<u64>(4);
     let feed = requests.clone();
@@ -115,7 +161,7 @@ fn event_log() -> (u64, usize) {
 
     let done = engine.bounded_channel::<u64>(2);
     let served = engine.atomic_u64(0);
-    let report = engine.run(move |ctx| {
+    engine.run(move |ctx| {
         let m = ctx.mutex_new();
         let cv = ctx.cond_new();
         let halfway = ctx.atomic_u64(0);
@@ -179,27 +225,194 @@ fn event_log() -> (u64, usize) {
             ctx.join(t);
         }
         ctx.join(waiter);
+    })
+}
+
+/// Arrivals the `edge_paths` gated source offers.
+const GATED_ARRIVALS: u64 = 40;
+
+fn edge_paths(engine: Engine, rec: Arc<Recorder>) -> RunReport {
+    // Timer causality: a source admits an arrival only while fewer than
+    // 4 are unreleased. A thread that jumps 2 ms ahead reaches its next
+    // op boundary with every firing due; the engine must interleave the
+    // firings with the consumer that releases the gauge, not batch them.
+    let arrivals = engine.channel::<u64>();
+    let feed = arrivals.clone();
+    let gauge = Arc::new(AtomicU64::new(0));
+    let g_src = Arc::clone(&gauge);
+    let mut n = 0u64;
+    engine.add_open_loop_source(Duration::from_us(10), &[arrivals.id()], move |api| {
+        if g_src.load(Ordering::Relaxed) < 4 {
+            g_src.fetch_add(1, Ordering::Relaxed);
+            api.send(&feed, n);
+        }
+        n += 1;
+        if n == GATED_ARRIVALS {
+            api.stop();
+        }
     });
 
-    let log = rec.log.lock().unwrap();
-    let mut h = Fnv::new();
-    for line in log.iter() {
-        h.write(line);
-        h.write("\n");
-    }
-    h.write(&format!("{report:?}"));
-    (h.0, log.len())
+    engine.run(move |ctx| {
+        let r = &rec;
+        let rc = Arc::clone(r);
+        let consumer = ctx.spawn(move |c| {
+            while let Some(v) = c.chan_recv(&arrivals) {
+                c.compute_ns(1_000.0);
+                gauge.fetch_sub(1, Ordering::Relaxed);
+                rc.push(&format!("arrival {v}"), c);
+            }
+        });
+        let staller = ctx.spawn(|c| {
+            c.compute_ns(2_000_000.0);
+            c.compute_ns(1_000.0);
+        });
+
+        // Three barrier generations across the root and two parties.
+        let b = ctx.barrier_new(3);
+        let parties: Vec<_> = (0..2u64)
+            .map(|p| {
+                let rc = Arc::clone(r);
+                ctx.spawn(move |c| {
+                    for g in 0..3u64 {
+                        c.compute_ns(300.0 * (p + 1) as f64 + 70.0 * g as f64);
+                        let leader = c.barrier_wait(b);
+                        rc.push(&format!("released g{g} leader={leader}"), c);
+                    }
+                })
+            })
+            .collect();
+        for g in 0..3u64 {
+            ctx.compute_ns(450.0 * g as f64);
+            let leader = ctx.barrier_wait(b);
+            r.push(&format!("released g{g} leader={leader}"), ctx);
+        }
+
+        // A barrier whose waiter ran ahead of the releaser inside the
+        // lookahead window: the releaser's lookahead is bound by the
+        // release instant, not by the waiter's later clock, which sets
+        // where the two threads' atomics interleave. The root yields
+        // to the new thread, which arrives first at a later clock.
+        let pair = ctx.barrier_new(2);
+        let counter = ctx.atomic_u64(0);
+        let ahead = ctx.spawn(move |c| {
+            c.compute_ns(1_500.0);
+            c.barrier_wait(pair);
+            for _ in 0..40 {
+                counter.fetch_add(c, 1);
+                c.compute_ns(100.0);
+            }
+        });
+        ctx.compute_ns(100.0);
+        ctx.yield_now();
+        ctx.compute_ns(200.0);
+        ctx.barrier_wait(pair);
+        for _ in 0..40 {
+            counter.fetch_add(ctx, 1);
+            ctx.compute_ns(100.0);
+        }
+
+        // A rendezvous: each send pairs with a parked receiver.
+        let rv = ctx.chan_new_bounded::<u64>(0);
+        let rv_tx = rv.clone();
+        let rendezvous = ctx.spawn(move |c| {
+            for v in 0..4u64 {
+                c.chan_send(&rv_tx, v);
+                c.compute_ns(120.0);
+            }
+        });
+        for _ in 0..4 {
+            ctx.compute_ns(200.0);
+            let v = ctx.chan_recv(&rv);
+            r.push(&format!("rendezvous {v:?}"), ctx);
+        }
+
+        // Non-blocking ops on a one-slot queue, then a timed send that
+        // expires on the full queue.
+        let slot = ctx.chan_new_bounded::<u64>(1);
+        let outcome = format!("try_send {:?}", ctx.chan_try_send(&slot, 1));
+        r.push(&outcome, ctx);
+        let outcome = format!("try_send {:?}", ctx.chan_try_send(&slot, 2));
+        r.push(&outcome, ctx);
+        let outcome = format!(
+            "send_timeout {:?}",
+            ctx.chan_send_timeout(&slot, 3, Duration::from_ns(800))
+        );
+        r.push(&outcome, ctx);
+        let outcome = format!("try_recv {:?}", ctx.chan_try_recv(&slot));
+        r.push(&outcome, ctx);
+        let outcome = format!("try_recv {:?}", ctx.chan_try_recv(&slot));
+        r.push(&outcome, ctx);
+
+        // A thread-side close wakes two parked receivers of an empty
+        // channel and two blocked senders of a full one.
+        let empty = ctx.chan_new::<u64>();
+        let full = ctx.chan_new_bounded::<u64>(1);
+        ctx.chan_send(&full, 0);
+        let mut closed_waiters = Vec::new();
+        for k in 0..2u64 {
+            let (empty, rc) = (empty.clone(), Arc::clone(r));
+            closed_waiters.push(ctx.spawn(move |c| {
+                c.compute_ns(50.0 * k as f64);
+                let got = if k == 0 {
+                    format!("{:?}", c.chan_recv(&empty))
+                } else {
+                    format!("{:?}", c.chan_recv_timeout(&empty, Duration::from_us(50)))
+                };
+                rc.push(&format!("recv after close {got}"), c);
+            }));
+            let (full, rc) = (full.clone(), Arc::clone(r));
+            closed_waiters.push(ctx.spawn(move |c| {
+                c.compute_ns(60.0 * k as f64);
+                let got = c.chan_send_timeout(&full, k + 10, Duration::from_us(50));
+                rc.push(&format!("send after close {got:?}"), c);
+            }));
+        }
+        ctx.compute_ns(3_000.0);
+        ctx.chan_close(&empty);
+        ctx.chan_close(&full);
+        let outcome = format!("try_send {:?}", ctx.chan_try_send(&full, 5));
+        r.push(&outcome, ctx);
+        let outcome = format!("try_recv {:?}", ctx.chan_try_recv(&full));
+        r.push(&outcome, ctx);
+        let outcome = format!("try_recv {:?}", ctx.chan_try_recv(&full));
+        r.push(&outcome, ctx);
+
+        // `join` on threads that finished long ago.
+        for t in parties.into_iter().chain([ahead, rendezvous]) {
+            ctx.join(t);
+            r.push("joined finished", ctx);
+        }
+        for t in closed_waiters {
+            ctx.join(t);
+        }
+        ctx.join(consumer);
+        ctx.join(staller);
+    })
+}
+
+/// Runs the scenario named `name` and checks it against its golden row.
+fn check(name: &str) {
+    let s = SCENARIOS
+        .iter()
+        .find(|s| s.name == name)
+        .expect("scenario is in the table");
+    let (fp, events) = event_log(s);
+    assert!(
+        events > s.min_events,
+        "{name}: the run exercised the hooks: {events} events"
+    );
+    assert_eq!(
+        fp, s.golden,
+        "{name}: threadsim event log fingerprint {fp:#018x} moved from the golden value"
+    );
 }
 
 #[test]
 fn mixed_sync_run_matches_golden_event_log() {
-    let (fp, events) = event_log();
-    assert!(
-        events > 1_000,
-        "the run exercised the hooks: {events} events"
-    );
-    assert_eq!(
-        fp, GOLDEN_EVENT_LOG,
-        "threadsim event log fingerprint {fp:#018x} moved from the golden value"
-    );
+    check("mixed_sync");
+}
+
+#[test]
+fn edge_paths_run_matches_golden_event_log() {
+    check("edge_paths");
 }

@@ -502,223 +502,92 @@ impl Quartz {
         }
     }
 
-    /// Computes the *read-side* injected delay (ns) for one epoch's
-    /// counter deltas (Eq. 1 or Eq. 2; the asymmetric write term is
-    /// computed separately by
-    /// [`compute_write_delay_ns`](Self::compute_write_delay_ns)).
-    pub(crate) fn compute_delay_ns(&self, d: Snap) -> f64 {
-        let nvm = self.config.target.read_latency_ns;
-        match (self.config.model, self.config.memory_mode) {
-            (LatencyModelKind::Simple, MemoryMode::PmOnly) => {
-                model::delay_simple_ns(d.misses(), self.dram_local_ns, nvm)
-            }
-            (LatencyModelKind::Simple, MemoryMode::TwoMemory) => {
-                model::delay_simple_ns(d.miss_remote, self.dram_remote_ns, nvm)
-            }
-            (LatencyModelKind::StallBased, mode) => {
-                let ldm_stall_cycles = model::stalls_from_counters(
-                    d.stalls as f64,
-                    d.hits as f64,
-                    d.misses() as f64,
-                    self.w_ratio,
-                );
-                let stall_ns = self
-                    .platform
-                    .frequency()
-                    .cycles_to_duration(ldm_stall_cycles.round() as u64)
-                    .as_ns_f64();
-                match mode {
-                    MemoryMode::PmOnly => {
-                        model::delay_stall_based_ns(stall_ns, self.dram_local_ns, nvm)
-                    }
-                    MemoryMode::TwoMemory => {
-                        let rem_ns = model::split_remote_stall_ns(
-                            stall_ns,
-                            d.miss_local,
-                            d.miss_remote,
-                            self.dram_local_ns,
-                            self.dram_remote_ns,
-                        );
-                        model::delay_stall_based_ns(rem_ns, self.dram_remote_ns, nvm)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Computes the asymmetric *write-side* delay (ns) for one epoch's
-    /// deltas — the store-path Eq. 2 analogue over `RESOURCE_STALLS:SB`
-    /// (or, under the simple model, store-miss counts). Zero whenever
-    /// the asymmetric model is off: symmetric configs never program the
-    /// store counters, so the deltas are structurally zero and the
-    /// whole term short-circuits.
+    /// Computes one side of an epoch's injected delay (ns) from its
+    /// counter deltas: the read side (Eq. 1, or Eq. 2 over the Eq. 3
+    /// `LDM_STALL`) or, with `write`, the asymmetric write side — the
+    /// same equations over `RESOURCE_STALLS:SB` and the store-miss
+    /// counts, priced at the write latency. The write side is zero
+    /// whenever the asymmetric model is off: symmetric configs never
+    /// program the store counters.
     ///
-    /// Unlike the read side, the store-buffer stall count needs no
-    /// Eq. 3-style hit/miss weighting: `RESOURCE_STALLS:SB` only fires
-    /// on buffer-full back-pressure, which is already purely the DRAM-
-    /// bound share of store traffic.
-    pub(crate) fn compute_write_delay_ns(&self, d: Snap) -> f64 {
-        let Some(wlat) = self.config.target.write_latency_ns else {
-            return 0.0;
-        };
-        match (self.config.model, self.config.memory_mode) {
-            (LatencyModelKind::Simple, MemoryMode::PmOnly) => {
-                model::write_delay_simple_ns(d.store_misses(), self.dram_local_ns, wlat)
-            }
-            (LatencyModelKind::Simple, MemoryMode::TwoMemory) => {
-                model::write_delay_simple_ns(d.store_miss_remote, self.dram_remote_ns, wlat)
-            }
-            (LatencyModelKind::StallBased, mode) => {
-                let sb_ns = self
-                    .platform
-                    .frequency()
-                    .cycles_to_duration(d.sb_stalls)
-                    .as_ns_f64();
-                match mode {
-                    MemoryMode::PmOnly => {
-                        model::delay_stall_based_ns(sb_ns, self.dram_local_ns, wlat)
-                    }
-                    MemoryMode::TwoMemory => {
-                        // §3.3 transplanted onto the store path: weight
-                        // the SB stall time by latency-weighted store-
-                        // miss locality, inflate only the remote share.
-                        let rem_ns = model::split_remote_stall_ns(
-                            sb_ns,
-                            d.store_miss_local,
-                            d.store_miss_remote,
-                            self.dram_local_ns,
-                            self.dram_remote_ns,
-                        );
-                        model::delay_stall_based_ns(rem_ns, self.dram_remote_ns, wlat)
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`compute_write_delay_ns`](Self::compute_write_delay_ns) with the
-    /// same sanity bounds as the read side: SB stall cycles clamp to the
-    /// epoch budget, the resulting delay to the budget-implied maximum
-    /// at the *write* latency. The simple model is exempt for the same
-    /// ablation reason.
-    pub(crate) fn compute_write_delay_ns_bounded(
-        &self,
-        d: Snap,
-        budget_cycles: u64,
-    ) -> (f64, bool) {
-        let Some(wlat) = self.config.target.write_latency_ns else {
-            return (0.0, false);
-        };
-        match (self.config.model, self.config.memory_mode) {
-            (LatencyModelKind::Simple, _) => (self.compute_write_delay_ns(d), false),
-            (LatencyModelKind::StallBased, mode) => {
-                let (sb_cycles, stall_clamped) =
-                    model::clamp_stall_cycles(d.sb_stalls as f64, budget_cycles);
-                if stall_clamped {
-                    self.degradation
-                        .stall_clamps
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let freq = self.platform.frequency();
-                let sb_ns = freq
-                    .cycles_to_duration(sb_cycles.round() as u64)
-                    .as_ns_f64();
-                let (delay, substrate) = match mode {
-                    MemoryMode::PmOnly => (
-                        model::delay_stall_based_ns(sb_ns, self.dram_local_ns, wlat),
-                        self.dram_local_ns,
-                    ),
-                    MemoryMode::TwoMemory => {
-                        let rem_ns = model::split_remote_stall_ns(
-                            sb_ns,
-                            d.store_miss_local,
-                            d.store_miss_remote,
-                            self.dram_local_ns,
-                            self.dram_remote_ns,
-                        );
-                        (
-                            model::delay_stall_based_ns(rem_ns, self.dram_remote_ns, wlat),
-                            self.dram_remote_ns,
-                        )
-                    }
-                };
-                let budget_ns = freq.cycles_to_duration(budget_cycles).as_ns_f64();
-                let (delay, delay_clamped) =
-                    model::clamp_delay_ns(delay, budget_ns, substrate, wlat);
-                if delay_clamped {
-                    self.degradation
-                        .delay_clamps
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                (delay, stall_clamped || delay_clamped)
-            }
-        }
-    }
-
-    /// [`compute_delay_ns`](Self::compute_delay_ns) with the §3-model
-    /// sanity bounds applied: the derived `LDM_STALL` is clamped to the
-    /// epoch's cycle budget (a core cannot stall longer than the epoch
-    /// lasted — beyond it the counters are corrupt) and the resulting
-    /// delay to the budget-implied maximum. Returns the bounded delay
-    /// and whether any clamp fired (the caller treats that as a signal
-    /// to re-calibrate the counter baseline).
+    /// The stall-based model applies the §3 sanity bounds: the stall
+    /// cycles clamp to the epoch's cycle budget (a core cannot stall
+    /// longer than the epoch lasted — beyond it the counters are
+    /// corrupt) and the delay to the budget-implied maximum. Returns the
+    /// delay and whether any clamp fired (the caller treats that as a
+    /// signal to re-calibrate the counter baseline).
     ///
     /// The *simple* model is exempt from the budget: Eq. 1 assumes every
     /// miss serialized and legitimately over-injects under MLP (Fig. 2)
     /// — that over-injection is the entire point of the ablation, so
     /// clamping it would erase the effect being studied.
-    pub(crate) fn compute_delay_ns_bounded(&self, d: Snap, budget_cycles: u64) -> (f64, bool) {
-        let nvm = self.config.target.read_latency_ns;
-        match (self.config.model, self.config.memory_mode) {
-            (LatencyModelKind::Simple, _) => (self.compute_delay_ns(d), false),
-            (LatencyModelKind::StallBased, mode) => {
-                let ldm_stall_cycles = model::stalls_from_counters(
-                    d.stalls as f64,
-                    d.hits as f64,
-                    d.misses() as f64,
-                    self.w_ratio,
-                );
-                let (ldm_stall_cycles, stall_clamped) =
-                    model::clamp_stall_cycles(ldm_stall_cycles, budget_cycles);
-                if stall_clamped {
-                    self.degradation
-                        .stall_clamps
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let freq = self.platform.frequency();
-                let stall_ns = freq
-                    .cycles_to_duration(ldm_stall_cycles.round() as u64)
-                    .as_ns_f64();
-                let (delay, substrate) = match mode {
-                    MemoryMode::PmOnly => (
-                        model::delay_stall_based_ns(stall_ns, self.dram_local_ns, nvm),
-                        self.dram_local_ns,
-                    ),
-                    MemoryMode::TwoMemory => {
-                        let rem_ns = model::split_remote_stall_ns(
-                            stall_ns,
-                            d.miss_local,
-                            d.miss_remote,
-                            self.dram_local_ns,
-                            self.dram_remote_ns,
-                        );
-                        (
-                            model::delay_stall_based_ns(rem_ns, self.dram_remote_ns, nvm),
-                            self.dram_remote_ns,
-                        )
-                    }
-                };
-                let budget_ns = freq.cycles_to_duration(budget_cycles).as_ns_f64();
-                let (delay, delay_clamped) =
-                    model::clamp_delay_ns(delay, budget_ns, substrate, nvm);
-                if delay_clamped {
-                    self.degradation
-                        .delay_clamps
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                (delay, stall_clamped || delay_clamped)
-            }
+    pub(crate) fn compute_delay_ns(&self, d: Snap, write: bool, budget_cycles: u64) -> (f64, bool) {
+        let (nvm, misses, miss_local, miss_remote) = if write {
+            let Some(wlat) = self.config.target.write_latency_ns else {
+                return (0.0, false);
+            };
+            (
+                wlat,
+                d.store_misses(),
+                d.store_miss_local,
+                d.store_miss_remote,
+            )
+        } else {
+            let nvm = self.config.target.read_latency_ns;
+            (nvm, d.misses(), d.miss_local, d.miss_remote)
+        };
+        // Two-memory mode inflates only the remote (virtual NVM) share.
+        let (substrate, remote_only) = match self.config.memory_mode {
+            MemoryMode::PmOnly => (self.dram_local_ns, false),
+            MemoryMode::TwoMemory => (self.dram_remote_ns, true),
+        };
+        if self.config.model == LatencyModelKind::Simple {
+            let m = if remote_only { miss_remote } else { misses };
+            return (model::delay_simple_ns(m, substrate, nvm), false);
         }
+        let stall_cycles = if write {
+            // No Eq. 3-style hit/miss weighting: `RESOURCE_STALLS:SB`
+            // only fires on buffer-full back-pressure, which is already
+            // purely the DRAM-bound share of store traffic.
+            d.sb_stalls as f64
+        } else {
+            model::stalls_from_counters(
+                d.stalls as f64,
+                d.hits as f64,
+                d.misses() as f64,
+                self.w_ratio,
+            )
+        };
+        let (stall_cycles, stall_clamped) = model::clamp_stall_cycles(stall_cycles, budget_cycles);
+        if stall_clamped {
+            self.degradation
+                .stall_clamps
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let freq = self.platform.frequency();
+        let mut stall_ns = freq
+            .cycles_to_duration(stall_cycles.round() as u64)
+            .as_ns_f64();
+        if remote_only {
+            // §3.3: weight the stall time by latency-weighted miss
+            // locality.
+            stall_ns = model::split_remote_stall_ns(
+                stall_ns,
+                miss_local,
+                miss_remote,
+                self.dram_local_ns,
+                self.dram_remote_ns,
+            );
+        }
+        let delay = model::delay_stall_based_ns(stall_ns, substrate, nvm);
+        let budget_ns = freq.cycles_to_duration(budget_cycles).as_ns_f64();
+        let (delay, delay_clamped) = model::clamp_delay_ns(delay, budget_ns, substrate, nvm);
+        if delay_clamped {
+            self.degradation
+                .delay_clamps
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        (delay, stall_clamped || delay_clamped)
     }
 
     /// The calling thread's slot handle.
@@ -799,8 +668,8 @@ impl Quartz {
             costs.rdpmc_cycles,
             n_reads,
         );
-        let (read_ns, read_clamped) = self.compute_delay_ns_bounded(d, budget);
-        let (write_ns, write_clamped) = self.compute_write_delay_ns_bounded(d, budget);
+        let (read_ns, read_clamped) = self.compute_delay_ns(d, false, budget);
+        let (write_ns, write_clamped) = self.compute_delay_ns(d, true, budget);
         let clamped = read_clamped || write_clamped;
         let write_term = Duration::from_ns_f64(write_ns);
         let delay = Duration::from_ns_f64(read_ns) + write_term;

@@ -5,6 +5,8 @@
 //!   `--jobs 8`, with every experiment `ok` (every verdict passed);
 //!   the grid runs once per job count, and each per-experiment test
 //!   checks its own experiment's rows of those shared runs;
+//! * an ignored release-mode test widens the byte-identity check to
+//!   every deterministic experiment in the registry;
 //! * `repro --list` must cover the whole registry;
 //! * unknown experiment names must exit with status 2.
 
@@ -18,13 +20,12 @@ use quartz_bench::manifest::{Manifest, RunStatus};
 use quartz_bench::registry;
 
 /// The experiments the golden runs cover, each with the BENCH files it
-/// must emit. Every deterministic experiment in the registry was
-/// byte-identical at `--jobs 1` and `--jobs 8` when this list was
-/// chosen, but a quick run of the whole registry under the unoptimized
-/// test build takes well over a minute per job count; widen the list
-/// once the engine's hand-off cost comes down. `memsim_throughput` is
-/// host-timed: only its BENCH file is compared, modulo
-/// [`strip_timing_fields`].
+/// must emit. A quick run of the whole registry under the unoptimized
+/// test build takes well over a minute per job count, so the registry
+/// as a whole is checked by the ignored
+/// `whole_registry_is_byte_identical_at_any_jobs_count`, run in release.
+/// `memsim_throughput` is host-timed: only its BENCH file is compared,
+/// modulo [`strip_timing_fields`].
 const GOLDEN: &[(&str, &[&str])] = &[
     ("ablation_pcommit", &[]),
     ("asymmetry_ablation", &["BENCH_asymmetry.json"]),
@@ -309,6 +310,45 @@ fn memsim_throughput_bench_file_is_deterministic_modulo_timing() {
         "memsim_throughput",
         &["l1_fast_path", "replay_equivalent", "replay_speedup"],
     );
+}
+
+/// The determinism contract over the whole registry, not just
+/// [`GOLDEN`]: every `deterministic()` experiment's row file and BENCH
+/// files are byte-identical at `--jobs 1` and `--jobs 2`. A quick run of
+/// every experiment takes about half a minute per job count in a release
+/// build and many minutes in a debug one, so the test is ignored by
+/// default; CI runs it with
+/// `cargo test --offline --release --test harness_determinism -- --ignored`.
+#[test]
+#[ignore = "runs the whole registry twice; run in release with --ignored"]
+fn whole_registry_is_byte_identical_at_any_jobs_count() {
+    let names: Vec<&str> = registry::all().iter().map(|e| e.name()).collect();
+    let base = std::env::temp_dir().join("quartz_bench_golden_registry");
+    let (j1, j2) = std::thread::scope(|s| {
+        let j1 = s.spawn(|| golden_run(&names, 1, &base.join("j1")));
+        let j2 = golden_run(&names, 2, &base.join("j2"));
+        (j1.join().expect("--jobs 1 run"), j2)
+    });
+    let mut compared = 0;
+    for exp in registry::all().iter().filter(|e| e.deterministic()) {
+        let name = exp.name();
+        let record = |run: &GoldenRun| {
+            let rec = run.manifest.experiments.iter().find(|e| e.name == name);
+            rec.expect("in the manifest").clone()
+        };
+        let (rec1, rec2) = (record(&j1), record(&j2));
+        assert_eq!(rec1.status, RunStatus::Ok, "{name} at --jobs 1");
+        assert_eq!(rec2.status, RunStatus::Ok, "{name} at --jobs 2");
+        assert_eq!(rec1.benches, rec2.benches, "{name} BENCH files");
+        for file in std::iter::once(format!("{name}.json")).chain(rec1.benches) {
+            assert!(
+                j1.files[&file] == j2.files[&file],
+                "{file} differs between --jobs 1 and --jobs 2"
+            );
+        }
+        compared += 1;
+    }
+    assert!(compared > GOLDEN.len(), "compared {compared} experiments");
 }
 
 #[test]
