@@ -3,9 +3,11 @@
 //! The way metadata is laid out structure-of-arrays: one contiguous tag
 //! array probed as a slice (the per-access hot path is a batched compare
 //! over `ways` consecutive `u64`s), with dirty bits and recency stamps in
-//! parallel arrays touched only on the slot that matched. An absent line
-//! is encoded by the `INVALID_LINE` sentinel tag, so probing never
-//! consults a separate validity array.
+//! parallel arrays touched only on the slot that matched. A way stores
+//! its line as the tag `!line`, so an empty way is the tag 0: probing
+//! never consults a separate validity array, and every array starts as
+//! zeroed memory that the host maps lazily, so a cache that is never
+//! filled (an idle core's L2) costs no resident pages.
 
 use crate::addr::Addr;
 use crate::config::CacheGeometry;
@@ -28,17 +30,25 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Tag value marking an empty way. No real line can reach it: line
-/// numbers are addresses divided by 64, so they top out at
-/// `u64::MAX / 64`.
-const INVALID_LINE: u64 = u64::MAX;
+/// Tag value marking an empty way. Ways store `!line`, and no real line
+/// encodes to 0: that would be line `u64::MAX`, but line numbers are
+/// addresses divided by 64, so they top out at `u64::MAX / 64`.
+const EMPTY: u64 = 0;
+
+/// The tag a way stores for `line`.
+#[inline]
+fn tag_of(line: u64) -> u64 {
+    !line
+}
 
 /// One cache instance (structure-of-arrays way metadata).
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: u64,
+    /// `sets - 1`: the set count is a power of two (`CacheGeometry`
+    /// rejects any other), so a line's set is `line & set_mask`.
+    set_mask: u64,
     ways: usize,
-    /// Line tags, `sets * ways` long; `INVALID_LINE` = empty way.
+    /// Way tags ([`tag_of`]), `sets * ways` long; `EMPTY` = empty way.
     tags: Vec<u64>,
     /// Dirty bit per way slot, parallel to `tags`.
     dirty: Vec<bool>,
@@ -54,11 +64,12 @@ impl Cache {
     /// Builds an empty cache of the given geometry.
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
+        debug_assert!(sets.is_power_of_two(), "checked by CacheGeometry::new");
         let slots = (sets as usize) * geom.ways;
         Cache {
-            sets,
+            set_mask: sets - 1,
             ways: geom.ways,
-            tags: vec![INVALID_LINE; slots],
+            tags: vec![EMPTY; slots],
             dirty: vec![false; slots],
             lru: vec![0; slots],
             tick: 0,
@@ -68,7 +79,7 @@ impl Cache {
 
     #[inline]
     fn set_base(&self, line: u64) -> usize {
-        ((line % self.sets) as usize) * self.ways
+        ((line & self.set_mask) as usize) * self.ways
     }
 
     /// Probes the set for `line`; returns the absolute slot index on a
@@ -77,9 +88,10 @@ impl Cache {
     #[inline]
     fn probe(&self, line: u64) -> Option<usize> {
         let base = self.set_base(line);
+        let tag = tag_of(line);
         self.tags[base..base + self.ways]
             .iter()
-            .position(|&t| t == line)
+            .position(|&t| t == tag)
             .map(|w| base + w)
     }
 
@@ -116,18 +128,29 @@ impl Cache {
         }
     }
 
-    /// Fills a line (after a miss), evicting the LRU way if the set is
-    /// full. `dirty` marks the incoming line (store-allocate).
+    /// Fills a line, evicting the LRU way if the set is full; a line
+    /// already present is refreshed instead (merging `dirty`). `dirty`
+    /// marks the incoming line (store-allocate). For a caller that has
+    /// not just seen the line miss; one that has uses
+    /// [`Cache::fill_missing`].
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let line = addr.line();
-        // Already present (e.g. racing prefetch): refresh.
-        if let Some(slot) = self.probe(line) {
-            self.lru[slot] = tick;
+        if let Some(slot) = self.probe(addr.line()) {
+            self.tick += 1;
+            self.lru[slot] = self.tick;
             self.dirty[slot] |= dirty;
             return None;
         }
+        self.fill_missing(addr, dirty)
+    }
+
+    /// Inserts a line the caller knows is absent (its probe just
+    /// missed and nothing has filled this cache since), evicting the LRU
+    /// way if the set is full: [`Cache::fill`] without the re-probe.
+    pub fn fill_missing(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
+        let line = addr.line();
+        debug_assert!(self.probe(line).is_none(), "line {line:#x} is present");
+        self.tick += 1;
+        let tick = self.tick;
         let base = self.set_base(line);
         // Free way, or failing that the LRU victim — one scan finds
         // both: an empty slot always wins (its stamp can never exceed a
@@ -136,7 +159,7 @@ impl Cache {
         let mut victim = base;
         let mut victim_lru = u64::MAX;
         for slot in base..base + self.ways {
-            if self.tags[slot] == INVALID_LINE {
+            if self.tags[slot] == EMPTY {
                 victim = slot;
                 break;
             }
@@ -145,16 +168,16 @@ impl Cache {
                 victim_lru = self.lru[slot];
             }
         }
-        let evicted = if self.tags[victim] == INVALID_LINE {
+        let evicted = if self.tags[victim] == EMPTY {
             self.len += 1;
             None
         } else {
             Some(Evicted {
-                line: self.tags[victim],
+                line: !self.tags[victim],
                 dirty: self.dirty[victim],
             })
         };
-        self.tags[victim] = line;
+        self.tags[victim] = tag_of(line);
         self.dirty[victim] = dirty;
         self.lru[victim] = tick;
         evicted
@@ -166,7 +189,7 @@ impl Cache {
         match self.probe(addr.line()) {
             Some(slot) => {
                 let dirty = self.dirty[slot];
-                self.tags[slot] = INVALID_LINE;
+                self.tags[slot] = EMPTY;
                 self.dirty[slot] = false;
                 self.lru[slot] = 0;
                 self.len -= 1;
@@ -179,10 +202,16 @@ impl Cache {
     /// Invalidates everything (used between experiment trials, like the
     /// paper's "we invalidate caches between the runs", §4.7 footnote).
     pub fn invalidate_all(&mut self) {
-        self.tags.fill(INVALID_LINE);
+        self.tick = 0;
+        if self.len == 0 {
+            // Every way is already empty, clean and stamped 0 (an
+            // invalidated way is reset to 0): leave the pages of a cache
+            // that was never filled untouched.
+            return;
+        }
+        self.tags.fill(EMPTY);
         self.dirty.fill(false);
         self.lru.fill(0);
-        self.tick = 0;
         self.len = 0;
     }
 
@@ -200,7 +229,7 @@ impl Cache {
     /// Number of valid lines, recounted from the tag array (for tests:
     /// the reference for [`Cache::len`]).
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_LINE).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }
 
@@ -299,6 +328,54 @@ mod tests {
             c.fill(addr(i * 64), false);
         }
         assert_eq!(c.occupancy(), 4);
+    }
+
+    /// `fill_missing` after a miss picks the same victim and leaves the
+    /// same state as `fill`.
+    #[test]
+    fn fill_missing_matches_fill_after_a_miss() {
+        let mut a = small_cache();
+        let mut b = small_cache();
+        for (i, off) in [0u64, 256, 64, 0, 512, 320, 768, 256]
+            .into_iter()
+            .enumerate()
+        {
+            let dirty = i % 3 == 0;
+            if a.touch(addr(off)) == Lookup::Hit {
+                assert_eq!(b.touch(addr(off)), Lookup::Hit);
+                continue;
+            }
+            assert_eq!(b.touch(addr(off)), Lookup::Miss);
+            assert_eq!(
+                a.fill(addr(off), dirty),
+                b.fill_missing(addr(off), dirty),
+                "step {i}"
+            );
+        }
+        assert_eq!(a.tags, b.tags);
+        assert_eq!(a.dirty, b.dirty);
+        assert_eq!(a.lru, b.lru);
+        assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn invalidate_all_of_an_emptied_cache_resets_recency() {
+        let mut c = small_cache();
+        c.fill(addr(0), true);
+        c.invalidate(addr(0));
+        c.invalidate_all();
+        assert_eq!(c.tick, 0);
+        assert_eq!(c.occupancy(), 0);
+        c.fill(addr(0), false);
+        c.fill(addr(256), false);
+        let ev = c.fill(addr(512), false).expect("eviction");
+        assert_eq!(
+            ev,
+            Evicted {
+                line: addr(0).line(),
+                dirty: false
+            }
+        );
     }
 
     #[test]

@@ -27,6 +27,10 @@ use crate::addr::LINE_SIZE;
 pub struct DramChannels {
     /// `next_free[node][channel]`.
     next_free: Vec<Vec<SimTime>>,
+    /// `transfer[node][channel]`: the throttle register value the
+    /// channel's transfer time was last computed from, and that time.
+    /// A transfer recomputes it only when the register has changed.
+    transfer: Vec<Vec<(u32, Duration)>>,
     channel_bw_gbps: f64,
     skew_tolerance: Duration,
     thermal: ThermalControl,
@@ -55,12 +59,20 @@ impl DramChannels {
     ) -> Self {
         assert!(channels > 0, "need at least one channel");
         assert!(channel_bw_gbps > 0.0, "bandwidth must be positive");
-        DramChannels {
+        let mut c = DramChannels {
             next_free: vec![vec![SimTime::ZERO; channels]; nodes],
+            transfer: vec![vec![(0, Duration::ZERO); channels]; nodes],
             channel_bw_gbps,
             skew_tolerance,
             thermal,
+        };
+        for node in 0..nodes {
+            for ch in 0..channels {
+                let raw = c.throttle_value(NodeId(node), ch);
+                c.transfer[node][ch] = (raw, c.transfer_time_at(raw));
+            }
         }
+        c
     }
 
     /// Number of channels per node.
@@ -73,15 +85,17 @@ impl DramChannels {
         (line as usize) % self.channels()
     }
 
-    /// Time one line transfer occupies a channel of `node` right now,
-    /// given the current throttle setting.
-    pub fn line_transfer_time(&self, node: NodeId, channel: usize) -> Duration {
-        // Throttle registers live on the IMC of the socket that owns the
-        // node (socket k owns node k on our machines).
-        let frac = self
-            .thermal
-            .throttle_fraction(SocketId(node.0), channel)
-            .max(1.0 / 4095.0);
+    /// The throttle register value of a channel of `node`. Throttle
+    /// registers live on the IMC of the socket that owns the node
+    /// (socket k owns node k on our machines).
+    fn throttle_value(&self, node: NodeId, channel: usize) -> u32 {
+        self.thermal.throttle_value(SocketId(node.0), channel)
+    }
+
+    /// Time one line transfer occupies a channel whose throttle register
+    /// holds `raw`.
+    fn transfer_time_at(&self, raw: u32) -> Duration {
+        let frac = ThermalControl::fraction_of(raw).max(1.0 / 4095.0);
         let ns = LINE_SIZE as f64 / (self.channel_bw_gbps * frac);
         Duration::from_ns_f64(ns)
     }
@@ -90,7 +104,11 @@ impl DramChannels {
     /// than `now`; advances the channel's free time.
     pub fn reserve(&mut self, node: NodeId, line: u64, now: SimTime) -> Transfer {
         let ch = self.channel_of(line);
-        let transfer_time = self.line_transfer_time(node, ch);
+        let raw = self.throttle_value(node, ch);
+        if self.transfer[node.0][ch].0 != raw {
+            self.transfer[node.0][ch] = (raw, self.transfer_time_at(raw));
+        }
+        let transfer_time = self.transfer[node.0][ch].1;
         let slot = &mut self.next_free[node.0][ch];
         let fcfs_start = (*slot).max(now);
         // Forgive waits within the scheduler's clock-skew tolerance.

@@ -7,16 +7,18 @@
 //! discrete-event thread scheduler stays in charge of time.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use quartz_platform::pci::DIMM_CHANNELS;
 use quartz_platform::pmu::RawEvent;
 use quartz_platform::time::{Duration, SimTime};
 use quartz_platform::{NodeId, Platform};
 
 use crate::addr::{Addr, LINE_SIZE};
 use crate::alloc::NumaAllocator;
-use crate::cache::{Cache, Lookup};
+use crate::cache::{Cache, Evicted, Lookup};
 use crate::config::MemSimConfig;
 use crate::dram::DramChannels;
 use crate::error::MemSimError;
@@ -63,6 +65,40 @@ pub struct AccessResult {
     pub served: ServiceLevel,
 }
 
+/// Hasher of the cache-line-keyed maps: one multiply per key instead of
+/// SipHash. The maps it serves are only ever probed, inserted into,
+/// removed from and cleared, never iterated, so the hash decides where
+/// an entry sits but never what a run computes. Their keys are line
+/// numbers the simulation derives, not outside input.
+#[derive(Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every key bit; bring them down to
+        // the low bits the table indexes by, so line numbers that differ
+        // only above the index width (strided lines, the node bits)
+        // still land in different buckets.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by cache-line number (see [`LineHasher`]).
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
 struct Inner {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
@@ -72,13 +108,13 @@ struct Inner {
     prefetchers: Vec<Prefetcher>,
     channels: DramChannels,
     /// Prefetches in flight: line -> instant the data arrives in L3.
-    inflight: HashMap<u64, SimTime>,
+    inflight: LineMap<SimTime>,
     /// Coherence registry: cache lines held Modified in a core's
     /// *private* (L1/L2) caches: line -> owning core. Stores
     /// write-invalidate other owners; loads that miss the shared L3 but
     /// hit another core's modified line are served by a cache-to-cache
     /// snoop transfer (HITM) instead of DRAM.
-    dirty_owner: HashMap<u64, usize>,
+    dirty_owner: LineMap<usize>,
     /// Outstanding RFO completions per core (store misses).
     rfo: Vec<VecDeque<SimTime>>,
     /// Outstanding write-combining (streaming-store) completions per core.
@@ -127,6 +163,16 @@ pub struct MemorySystem {
     config: MemSimConfig,
     allocator: NumaAllocator,
     inner: Mutex<Inner>,
+    /// Socket of each core, which is also its local node (socket k owns
+    /// node k): the topology's lookup without its division and assert.
+    socket_of: Vec<usize>,
+    /// The constant service latencies, converted from the architecture's
+    /// nanoseconds once instead of on every access.
+    l1_lat: Duration,
+    l2_lat: Duration,
+    l3_lat: Duration,
+    hitm_lat: Duration,
+    tlb_walk: Duration,
 }
 
 /// Write-combining buffer depth for streaming stores.
@@ -145,10 +191,25 @@ const SNOOP_HITM_FACTOR: f64 = 1.8;
 
 impl MemorySystem {
     /// Builds the memory system of `platform`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.channels_per_node` exceeds the throttle
+    /// registers a socket has (`DIMM_CHANNELS`): the extra channels
+    /// would have no register and could never be throttled.
     pub fn new(platform: Platform, config: MemSimConfig) -> Self {
+        assert!(
+            config.channels_per_node <= DIMM_CHANNELS,
+            "channels_per_node {} exceeds the {DIMM_CHANNELS} DIMM throttle registers per socket",
+            config.channels_per_node
+        );
         let topo = platform.topology();
         let cores = topo.num_cores();
         let sockets = topo.num_sockets();
+        let socket_of = (0..cores)
+            .map(|c| topo.socket_of(quartz_platform::CoreId(c)).0)
+            .collect();
+        let params = platform.arch_params();
         let channels = DramChannels::new(
             topo.num_nodes(),
             config.channels_per_node,
@@ -165,8 +226,8 @@ impl MemorySystem {
                 .map(|_| Prefetcher::new(config.prefetch))
                 .collect(),
             channels,
-            inflight: HashMap::new(),
-            dirty_owner: HashMap::new(),
+            inflight: LineMap::default(),
+            dirty_owner: LineMap::default(),
             rfo: (0..cores).map(|_| VecDeque::new()).collect(),
             wc: (0..cores).map(|_| VecDeque::new()).collect(),
             stats: MemStats::new(topo.num_nodes()),
@@ -179,6 +240,12 @@ impl MemorySystem {
         let allocator =
             NumaAllocator::new(topo.num_nodes(), config.node_capacity, config.tlb.hugepages);
         MemorySystem {
+            socket_of,
+            l1_lat: Duration::from_ns_f64(params.l1_ns),
+            l2_lat: Duration::from_ns_f64(params.l2_ns),
+            l3_lat: Duration::from_ns_f64(params.l3_ns),
+            hitm_lat: Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR),
+            tlb_walk: Duration::from_ns_f64(config.tlb.walk_ns),
             platform,
             config,
             allocator,
@@ -328,16 +395,11 @@ impl MemorySystem {
     }
 
     fn socket_of(&self, core: usize) -> usize {
-        self.platform
-            .topology()
-            .socket_of(quartz_platform::CoreId(core))
-            .0
+        self.socket_of[core]
     }
 
     fn is_local(&self, core: usize, node: NodeId) -> bool {
-        self.platform
-            .topology()
-            .is_local(quartz_platform::CoreId(core), node)
+        self.socket_of[core] == node.0
     }
 
     fn dram_latency(&self, core: usize, node: NodeId, seq: u64, addr: Addr) -> (Duration, bool) {
@@ -369,7 +431,7 @@ impl MemorySystem {
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            extra = Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            extra = self.tlb_walk;
         }
         if g.l1[core].touch(addr) == Lookup::Hit {
             // An L1 hit feeds no PMU event and no stall accounting
@@ -377,7 +439,7 @@ impl MemorySystem {
             // whole story.
             g.stats.l1_hits += 1;
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(self.platform.arch_params().l1_ns),
+                stall: extra + self.l1_lat,
                 served: ServiceLevel::L1,
             };
         }
@@ -499,11 +561,11 @@ impl MemorySystem {
         let mut extra = Duration::ZERO;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            extra = Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            extra = self.tlb_walk;
         }
         if g.l1[core].touch(addr) == Lookup::Hit {
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(self.platform.arch_params().l1_ns),
+                stall: extra + self.l1_lat,
                 served: ServiceLevel::L1,
             };
         }
@@ -521,11 +583,10 @@ impl MemorySystem {
         extra: Duration,
         now: SimTime,
     ) -> AccessResult {
-        let params = self.platform.arch_params();
         if g.l2[core].touch(addr) == Lookup::Hit {
             self.fill_l1(g, core, addr, false, now);
             return AccessResult {
-                stall: extra + Duration::from_ns_f64(params.l2_ns),
+                stall: extra + self.l2_lat,
                 served: ServiceLevel::L2,
             };
         }
@@ -550,10 +611,13 @@ impl MemorySystem {
                 g.l2[owner].invalidate(addr);
                 g.dirty_owner.remove(&addr.line());
                 // The modified data lands in the shared L3 (dirty) and
-                // in the requester's private caches.
-                self.fill_l3(g, socket, addr, true, now);
+                // in the requester's private caches. This path has not
+                // probed the L3, which may still hold a clean copy from
+                // before the store, so the L3 fill probes first.
+                let ev = g.l3[socket].fill(addr, true);
+                self.evict_l3(g, ev, now);
                 self.fill_l2_l1(g, core, addr, false, now);
-                let stall = extra + Duration::from_ns_f64(params.l3_ns * SNOOP_HITM_FACTOR);
+                let stall = extra + self.hitm_lat;
                 let pf_owned = std::mem::take(&mut pf);
                 g.pf_buf = pf;
                 for line in pf_owned {
@@ -574,11 +638,11 @@ impl MemorySystem {
                 } else {
                     g.inflight.remove(&addr.line());
                     served = ServiceLevel::L3;
-                    stall = Duration::from_ns_f64(params.l3_ns);
+                    stall = self.l3_lat;
                 }
             } else {
                 served = ServiceLevel::L3;
-                stall = Duration::from_ns_f64(params.l3_ns);
+                stall = self.l3_lat;
             }
             self.fill_l2_l1(g, core, addr, false, now);
         } else {
@@ -633,8 +697,14 @@ impl MemorySystem {
         g.inflight.insert(line, ready);
     }
 
+    // The fill helpers insert a line their caller has just seen miss in
+    // that cache (`Cache::fill_missing`): every load and store path probes
+    // a level before filling it, and a victim moves down only after its
+    // `touch_dirty` one level below missed. The one exception, the HITM
+    // path's L3 fill, calls `Cache::fill` itself.
+
     fn fill_l1(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
-        if let Some(ev) = g.l1[core].fill(addr, dirty) {
+        if let Some(ev) = g.l1[core].fill_missing(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
                 // Dirty L1 victim moves to L2.
@@ -646,7 +716,7 @@ impl MemorySystem {
     }
 
     fn fill_l2_only(&self, g: &mut Inner, core: usize, addr: Addr, dirty: bool, now: SimTime) {
-        if let Some(ev) = g.l2[core].fill(addr, dirty) {
+        if let Some(ev) = g.l2[core].fill_missing(addr, dirty) {
             if ev.dirty {
                 let victim = Addr(ev.line * LINE_SIZE);
                 // The modified line leaves the private domain.
@@ -667,7 +737,14 @@ impl MemorySystem {
     }
 
     fn fill_l3(&self, g: &mut Inner, socket: usize, addr: Addr, dirty: bool, now: SimTime) {
-        if let Some(ev) = g.l3[socket].fill(addr, dirty) {
+        let ev = g.l3[socket].fill_missing(addr, dirty);
+        self.evict_l3(g, ev, now);
+    }
+
+    /// Retires an L3 victim: it is no longer in flight, and a dirty one
+    /// is written back to its home node.
+    fn evict_l3(&self, g: &mut Inner, ev: Option<Evicted>, now: SimTime) {
+        if let Some(ev) = ev {
             g.inflight.remove(&ev.line);
             if ev.dirty {
                 // Dirty L3 victim: write back to its home node.
@@ -697,11 +774,10 @@ impl MemorySystem {
     }
 
     fn store_inner(&self, g: &mut Inner, core: usize, addr: Addr, now: SimTime) -> Duration {
-        let params = self.platform.arch_params();
-        let mut cost = Duration::from_ns_f64(params.l1_ns);
+        let mut cost = self.l1_lat;
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            cost += Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            cost += self.tlb_walk;
         }
         // Write-invalidate: every other core's copy (shared or
         // modified) of this line is invalidated before we take it
@@ -771,7 +847,7 @@ impl MemorySystem {
         let mut cost = Duration::from_ns_f64(0.5);
         if !g.tlbs[core].translate(addr) {
             g.stats.tlb_misses += 1;
-            cost += Duration::from_ns_f64(g.tlbs[core].walk_ns());
+            cost += self.tlb_walk;
         }
         // NT stores invalidate the modified owner's copy, the issuing
         // core's private copy and the issuing socket's L3 copy. Clean
@@ -946,6 +1022,17 @@ mod tests {
     fn mem(arch: Architecture) -> MemorySystem {
         let platform = Platform::new(PlatformConfig::new(arch).with_perfect_counters());
         MemorySystem::new(platform, MemSimConfig::default().without_jitter())
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 3 DIMM throttle registers")]
+    fn channels_without_a_throttle_register_rejected() {
+        let platform = Platform::new(PlatformConfig::new(Architecture::SandyBridge));
+        let config = MemSimConfig {
+            channels_per_node: DIMM_CHANNELS + 1,
+            ..MemSimConfig::default()
+        };
+        let _ = MemorySystem::new(platform, config);
     }
 
     #[test]

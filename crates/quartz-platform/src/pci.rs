@@ -6,9 +6,7 @@
 //! them on behalf of the user-mode library. We model one IMC device per
 //! socket with word-addressed registers.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::error::PlatformError;
 use crate::faults::FaultCell;
@@ -35,6 +33,15 @@ pub const THRT_PWR_DIMM_WRITE_BASE: u16 = 0x1b0;
 /// Number of DIMM throttle channels per socket (`THRT_PWR_DIMM_[0:2]`).
 pub const DIMM_CHANNELS: usize = 3;
 
+/// Base offsets of the register banks each IMC device decodes, in the
+/// order they are laid out in [`PciConfigSpace`]'s register file. Each
+/// bank holds `DIMM_CHANNELS` word registers at 4-byte strides.
+const BANKS: [u16; 3] = [
+    THRT_PWR_DIMM_BASE,
+    THRT_PWR_DIMM_READ_BASE,
+    THRT_PWR_DIMM_WRITE_BASE,
+];
+
 /// Capability token proving the caller went through the kernel module.
 ///
 /// Only [`crate::kmod::KernelModule`] can mint one, so user-mode code
@@ -44,10 +51,18 @@ pub const DIMM_CHANNELS: usize = 3;
 pub struct PrivilegeToken(pub(crate) ());
 
 /// The PCI configuration space of every socket's IMC device.
+///
+/// The register file is fixed, so it is a flat array indexed by the
+/// decoded `(socket, bank, channel)`. Writes store with `Release` and
+/// reads load with `Acquire`: a transfer that reads a throttle value
+/// also sees everything its writer did before programming it. The
+/// memory model reads the throttle on every DRAM transfer, so this read
+/// takes no lock.
 #[derive(Debug)]
 pub struct PciConfigSpace {
     sockets: usize,
-    regs: Mutex<HashMap<(usize, u16), u32>>,
+    /// `regs[(socket * BANKS.len() + bank) * DIMM_CHANNELS + channel]`.
+    regs: Box<[AtomicU32]>,
     faults: FaultCell,
 }
 
@@ -55,20 +70,32 @@ impl PciConfigSpace {
     /// Creates config space for `sockets` IMC devices with registers at
     /// their reset values (throttle fully open: `0xFFF`).
     pub fn new(sockets: usize) -> Self {
-        let mut regs = HashMap::new();
-        for s in 0..sockets {
-            for ch in 0..DIMM_CHANNELS {
-                let stride = (ch * 4) as u16;
-                regs.insert((s, THRT_PWR_DIMM_BASE + stride), 0xFFF);
-                regs.insert((s, THRT_PWR_DIMM_READ_BASE + stride), 0xFFF);
-                regs.insert((s, THRT_PWR_DIMM_WRITE_BASE + stride), 0xFFF);
-            }
-        }
         PciConfigSpace {
             sockets,
-            regs: Mutex::new(regs),
+            regs: (0..sockets * BANKS.len() * DIMM_CHANNELS)
+                .map(|_| AtomicU32::new(0xFFF))
+                .collect(),
             faults: FaultCell::new(),
         }
+    }
+
+    /// Decodes `offset` on `socket` to its slot in the register file;
+    /// `None` when it names no register (a misaligned offset, one between
+    /// or past the banks, or a socket that does not exist).
+    fn slot(&self, socket: SocketId, offset: u16) -> Option<&AtomicU32> {
+        if socket.0 >= self.sockets {
+            return None;
+        }
+        BANKS.iter().enumerate().find_map(|(bank, &base)| {
+            let rel = usize::from(offset.checked_sub(base)?);
+            (rel % 4 == 0 && rel / 4 < DIMM_CHANNELS).then(|| self.reg(socket.0, bank, rel / 4))
+        })
+    }
+
+    /// The register of `channel` in bank `bank` (an index into `BANKS`)
+    /// on `socket`; all three are in range.
+    fn reg(&self, socket: usize, bank: usize, channel: usize) -> &AtomicU32 {
+        &self.regs[(socket * BANKS.len() + bank) * DIMM_CHANNELS + channel]
     }
 
     /// Shares the platform-wide fault cell (called once at build time,
@@ -98,10 +125,8 @@ impl PciConfigSpace {
         socket: SocketId,
         offset: u16,
     ) -> Result<u32, PlatformError> {
-        self.regs
-            .lock()
-            .get(&(socket.0, offset))
-            .copied()
+        self.slot(socket, offset)
+            .map(|r| r.load(Ordering::Acquire))
             .ok_or(PlatformError::BadPciAddress { offset })
     }
 
@@ -117,21 +142,22 @@ impl PciConfigSpace {
         offset: u16,
         value: u32,
     ) -> Result<(), PlatformError> {
-        let mut regs = self.regs.lock();
-        match regs.get_mut(&(socket.0, offset)) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(PlatformError::BadPciAddress { offset }),
-        }
+        let reg = self
+            .slot(socket, offset)
+            .ok_or(PlatformError::BadPciAddress { offset })?;
+        reg.store(value, Ordering::Release);
+        Ok(())
     }
 
     /// Unprivileged snapshot of a throttle register, used by the memory
-    /// model (the hardware side) to apply throttling.
+    /// model (the hardware side) to apply throttling. Indexes the bank
+    /// directly rather than decoding an offset: it runs per transfer.
     pub(crate) fn throttle_value(&self, socket: SocketId, channel: usize) -> Option<u32> {
-        let offset = THRT_PWR_DIMM_BASE + (channel * 4) as u16;
-        self.regs.lock().get(&(socket.0, offset)).copied()
+        if socket.0 >= self.sockets || channel >= DIMM_CHANNELS {
+            return None;
+        }
+        // Bank 0 is `THRT_PWR_DIMM`.
+        Some(self.reg(socket.0, 0, channel).load(Ordering::Acquire))
     }
 }
 
@@ -175,6 +201,77 @@ mod tests {
             Err(PlatformError::BadPciAddress { offset: 0x42 })
         ));
         assert!(pci.write32(&t, SocketId(0), 0x42, 1).is_err());
+    }
+
+    /// Every register of every bank on every socket round-trips on its
+    /// own; every other offset (misaligned, between or past the banks)
+    /// and every missing socket decodes to `BadPciAddress`.
+    #[test]
+    fn register_file_decodes_exactly_the_three_banks() {
+        let sockets = 2;
+        let pci = PciConfigSpace::new(sockets);
+        let t = token();
+        let regs: Vec<(usize, u16)> = (0..sockets)
+            .flat_map(|s| BANKS.iter().map(move |&base| (s, base)))
+            .flat_map(|(s, base)| (0..DIMM_CHANNELS).map(move |ch| (s, base + 4 * ch as u16)))
+            .collect();
+        assert_eq!(regs.len(), sockets * 3 * DIMM_CHANNELS);
+        for (i, &(s, off)) in regs.iter().enumerate() {
+            pci.write32(&t, SocketId(s), off, 0x100 + i as u32).unwrap();
+        }
+        for (i, &(s, off)) in regs.iter().enumerate() {
+            assert_eq!(
+                pci.read32(&t, SocketId(s), off).unwrap(),
+                0x100 + i as u32,
+                "socket {s} offset {off:#x}"
+            );
+        }
+        for ch in 0..DIMM_CHANNELS {
+            assert_eq!(
+                pci.throttle_value(SocketId(1), ch),
+                Some(0x100 + 9 + ch as u32)
+            );
+        }
+        assert_eq!(pci.throttle_value(SocketId(0), DIMM_CHANNELS), None);
+        assert_eq!(pci.throttle_value(SocketId(sockets), 0), None);
+
+        let bad = |s: usize, offset: u16| {
+            matches!(
+                pci.read32(&t, SocketId(s), offset),
+                Err(PlatformError::BadPciAddress { offset: o }) if o == offset
+            ) && matches!(
+                pci.write32(&t, SocketId(s), offset, 1),
+                Err(PlatformError::BadPciAddress { offset: o }) if o == offset
+            )
+        };
+        for &base in &BANKS {
+            // Misaligned, the gap after the bank's last register, and
+            // just below the bank.
+            for off in [
+                base + 1,
+                base + 2,
+                base + 3,
+                base + 4 * DIMM_CHANNELS as u16,
+                base - 1,
+            ] {
+                assert!(bad(0, off), "offset {off:#x}");
+            }
+        }
+        for off in [
+            0,
+            0x42,
+            0x18c,
+            THRT_PWR_DIMM_WRITE_BASE + 0x10,
+            0x1c0,
+            u16::MAX,
+        ] {
+            assert!(bad(0, off), "offset {off:#x}");
+        }
+        assert!(bad(sockets, THRT_PWR_DIMM_BASE), "missing socket");
+        // The rejected writes changed nothing.
+        for (i, &(s, off)) in regs.iter().enumerate() {
+            assert_eq!(pci.read32(&t, SocketId(s), off).unwrap(), 0x100 + i as u32);
+        }
     }
 
     #[test]

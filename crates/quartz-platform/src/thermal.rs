@@ -93,7 +93,12 @@ impl ThermalControl {
     /// Fraction of peak channel bandwidth currently permitted, linear in
     /// the register value: `value / 0xFFF`.
     pub fn throttle_fraction(&self, socket: SocketId, channel: usize) -> f64 {
-        self.throttle_value(socket, channel) as f64 / THROTTLE_MAX as f64
+        Self::fraction_of(self.throttle_value(socket, channel))
+    }
+
+    /// The bandwidth fraction a register value permits: `value / 0xFFF`.
+    pub fn fraction_of(value: u32) -> f64 {
+        value as f64 / THROTTLE_MAX as f64
     }
 }
 
